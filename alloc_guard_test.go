@@ -33,9 +33,9 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Full run first: learns the run's event count and warms the
-	// scheduler-side caches (MFP cache, finder memo) that live in cfg
-	// and carry across sim.New.
+	// Full run first: learns the run's event count and grows the
+	// scheduler-side buffers (candidate lists, the finder's and MFP
+	// engine's windows) that live in cfg and carry across sim.New.
 	warm, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)

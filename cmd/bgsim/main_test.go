@@ -50,7 +50,6 @@ func TestBgsimFinderFlagInvariant(t *testing.T) {
 	}
 	for _, args := range [][]string{
 		{"-finder", "fast"},
-		{"-finder", "fast", "-finder-workers", "4"},
 		{"-finder", "pop"},
 	} {
 		var got bytes.Buffer

@@ -66,11 +66,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		resume  = fs.String("resume", "", "resume from this journal: skip its completed points, append new ones")
 		check   = fs.Bool("check", false, "validate simulator conservation invariants at every event")
 
-		finder        = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape, fast or anneal (empty = shape default)")
-		finderWorkers = fs.Int("finder-workers", 0, "fast/anneal finder's parallel enumeration workers (<=1 sequential)")
-		annealSeed    = fs.Int64("anneal-seed", 0, "anneal finder placement-search seed for every sweep point (must be >= 0; 0 keeps per-point defaults)")
-		cont          = fs.String("contention", "", "network-contention preset for every sweep point: off, low, medium or high (empty = off)")
-		tournament    = fs.Bool("tournament", false, "run the placement-policy tournament (every finder x workload x contention) instead of -fig")
+		finder     = fs.String("finder", "", "partition search algorithm for every sweep point: naive, pop, shape, fast or anneal (empty = shape default)")
+		annealSeed = fs.Int64("anneal-seed", 0, "anneal finder placement-search seed for every sweep point (must be >= 0; 0 keeps per-point defaults)")
+		cont       = fs.String("contention", "", "network-contention preset for every sweep point: off, low, medium or high (empty = off)")
+		tournament = fs.Bool("tournament", false, "run the placement-policy tournament (every finder x workload x contention) instead of -fig")
 
 		traceDir = fs.String("trace-dir", "", "write one NDJSON causal trace per sweep point into this directory")
 		flight   = fs.Int("flight", 0, "kernel flight recorder of the last N events per in-flight point, dumped to stderr on invariant violation, contained panic or SIGQUIT (0 = off)")
@@ -99,7 +98,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	manifest.Seed = *seed
 
 	if *finder != "" {
-		if _, err := partition.ByName(*finder, *finderWorkers); err != nil {
+		if _, err := partition.ByName(*finder, 0); err != nil {
 			return err
 		}
 	}
@@ -114,7 +113,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	eng := &experiments.Engine{
 		Ctx: ctx, Workers: *workers, Retries: *retries,
 		Isolate: true, CheckInvariants: *check,
-		Finder: *finder, FinderWorkers: *finderWorkers,
+		Finder:     *finder,
 		AnnealSeed: *annealSeed, Contention: *cont,
 		TraceDir: *traceDir, FlightEvents: *flight,
 	}
@@ -307,14 +306,13 @@ func writeSweepMetrics(obs *telemetry.CLIFlags, m *telemetry.Manifest, tables []
 
 // finderComparison times the partition-finder algorithms on random
 // occupancies — the asymptotic comparison of Section 5 and Appendix 9
-// (naive O(M^9), POP O(M^5), shape O(M^3 f(s)^3)) plus the cached fast
-// path. The gap is invisible on the paper's 4x4x8 scheduling view, so
-// the table also measures larger machines, where the naive finder
-// collapses. The fast finder is reported twice: fast-cold constructs a
-// fresh finder per call (pure enumeration cost) and fast-warm reuses
-// one finder on an unchanging grid, so after the first call every
-// query is a cache hit — the steady state the scheduler hot path sees
-// between machine-state changes.
+// (naive O(M^9), POP O(M^5), shape O(M^3 f(s)^3)) plus the occupancy-
+// bitset fast path. The gap is invisible on the paper's 4x4x8
+// scheduling view, so the table also measures larger machines, where
+// the naive finder collapses. The fast finder keeps its per-geometry
+// masks across calls but is queried alternately on two grids one node
+// apart, so every query rebuilds its windows: the cost the scheduler
+// pays after each machine-state change.
 func finderComparison(out io.Writer) error {
 	finders := []partition.Finder{partition.NaiveFinder{}, partition.POPFinder{}, partition.ShapeFinder{}}
 	machines := []string{"4x4x8", "8x8x8", "16x16x16"}
@@ -322,8 +320,8 @@ func finderComparison(out io.Writer) error {
 	sizes := []int{8, 64}
 
 	fmt.Fprintln(out, "Partition-finder comparison (ns/op)")
-	fmt.Fprintf(out, "%-10s %-6s %-6s %12s %12s %12s %12s %12s\n",
-		"machine", "fill", "size", "naive", "pop", "shape", "fast-cold", "fast-warm")
+	fmt.Fprintf(out, "%-10s %-6s %-6s %12s %12s %12s %12s\n",
+		"machine", "fill", "size", "naive", "pop", "shape", "fast")
 	for _, spec := range machines {
 		g, err := torus.Parse(spec)
 		if err != nil {
@@ -342,16 +340,28 @@ func finderComparison(out io.Writer) error {
 					owner++
 				}
 			}
+			// The twin differs from gr in its first free node.
+			twin := gr.Clone()
+			for id := 0; id < g.N(); id++ {
+				if twin.NodeFree(id) {
+					if err := twin.Allocate(torus.Partition{Base: g.CoordOf(id), Shape: torus.Shape{X: 1, Y: 1, Z: 1}}, owner); err != nil {
+						return err
+					}
+					break
+				}
+			}
 			for _, size := range sizes {
 				fmt.Fprintf(out, "%-10s %-6.1f %-6d", spec, fill, size)
 				for _, f := range finders {
 					fmt.Fprintf(out, " %12d", timeFinder(f, gr, size))
 				}
-				cold := timeOp(func() { partition.NewFastFinder(0).FreeOfSize(gr, size) })
-				warm := partition.NewFastFinder(0)
-				warm.FreeOfSize(gr, size) // populate the cache
-				fmt.Fprintf(out, " %12d %12d\n", cold,
-					timeOp(func() { warm.FreeOfSize(gr, size) }))
+				fast := partition.NewFastFinder()
+				grids := [2]*torus.Grid{gr, twin}
+				calls := 0
+				fmt.Fprintf(out, " %12d\n", timeOp(func() {
+					fast.FreeOfSize(grids[calls%2], size)
+					calls++
+				}))
 			}
 		}
 	}

@@ -40,7 +40,7 @@ func TestBgsweepFinders(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"naive", "pop", "shape", "fast-cold", "fast-warm"} {
+	for _, want := range []string{"naive", "pop", "shape", "fast"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("finder table missing %q", want)
 		}
@@ -55,7 +55,7 @@ func TestBgsweepFinderFlagInvariant(t *testing.T) {
 	if err := run(context.Background(), base, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), append([]string{"-finder", "fast", "-finder-workers", "2"}, base...), &got); err != nil {
+	if err := run(context.Background(), append([]string{"-finder", "fast"}, base...), &got); err != nil {
 		t.Fatal(err)
 	}
 	stripTiming := func(s string) string {

@@ -12,7 +12,8 @@
 // splitmix64 finisher — no shared PRNG state, no lock contention
 // between sites, and concurrent callers at one site race only for the
 // sequence number, never for the outcome attached to it. The per-site
-// running digest (Digest) folds every decision in sequence order, so
+// running digest (Digest) sums a hash of every (sequence, decision)
+// pair, so
 // two soaks with the same seed and the same per-site decision counts
 // produce the same digest — the reproducibility check bgload and the
 // chaos smoke script rely on.
@@ -126,8 +127,10 @@ func (f RequestFault) Injected() bool {
 }
 
 // site tracks one decision stream: the next sequence number and the
-// running digest of decisions taken, both guarded by one mutex so the
-// digest folds decisions in sequence order.
+// running digest of decisions taken, both guarded by one mutex. The
+// digest is a wrapping sum of per-decision hashes keyed by sequence
+// number, so it does not depend on the order in which concurrent
+// callers fold their decisions.
 type site struct {
 	mu     sync.Mutex
 	n      uint64
@@ -188,8 +191,7 @@ func (inj *Injector) rnd(siteName string, seq uint64, salt uint64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// next claims the next sequence number at s and folds the decision
-// fingerprint fp into the site digest.
+// next claims the next sequence number at s.
 func (s *site) next() uint64 {
 	s.mu.Lock()
 	n := s.n
@@ -198,9 +200,11 @@ func (s *site) next() uint64 {
 	return n
 }
 
+// fold adds the decision fingerprint fp taken at seq to the site digest.
 func (s *site) fold(seq, fp uint64) {
+	h := splitmix64(splitmix64(seq) ^ fp)
 	s.mu.Lock()
-	s.digest = splitmix64(s.digest ^ splitmix64(seq^fp))
+	s.digest += h
 	s.mu.Unlock()
 }
 

@@ -41,10 +41,9 @@ func (s *Scheduler) Migrate(gr *torus.Grid, running []Running) ([]Migration, err
 	for i, r := range running {
 		parts[i] = r.Part
 	}
-	// Probe-only context: no MFPBefore/MFPPart, so every evaluation runs
-	// the real probe (migration compares placements, not a fixed bound),
-	// still through the scheduler's MFP cache.
-	ctx := &PlacementContext{Grid: gr, MFP: s.mfp}
+	// Probe-only context: migration compares placements through the
+	// scheduler's MFP engine and needs no MFPBefore.
+	ctx := &PlacementContext{Grid: gr, mfp: &s.mfp}
 	for _, idx := range order {
 		r := running[idx]
 		owner := int64(r.Job.ID)

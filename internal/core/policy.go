@@ -14,10 +14,6 @@ import (
 	"bgsched/internal/torus"
 )
 
-// probeOwner marks hypothetical allocations while a policy evaluates a
-// candidate placement. It never escapes a Choose call.
-const probeOwner int64 = -1
-
 // PlacementContext is everything a policy may consult when ranking
 // candidate partitions for one job.
 type PlacementContext struct {
@@ -25,47 +21,25 @@ type PlacementContext struct {
 	Job       *job.Job
 	Now       float64
 	MFPBefore int // maximal free partition size before placing the job
-	// MFPPart is a maximal free partition achieving MFPBefore (zero
-	// Shape when unknown or the machine is full). When consistent with
-	// MFPBefore it licenses the disjointness shortcut: placing a
-	// candidate that does not touch MFPPart cannot shrink the MFP —
-	// occupancy only grows, so the MFP cannot grow either, and MFPPart
-	// itself stays free — hence MFP(after) == MFPBefore exactly,
-	// without a probe.
-	MFPPart torus.Partition
-	// MFP, when non-nil, memoizes MaxFree content-addressed by
-	// occupancy hash, so the probe evaluations that do run are O(1) on
-	// state recurrences. Nil falls back to the uncached computation.
-	MFP *partition.MFPCache
+
+	// mfp answers the MFP questions; the scheduler shares its own so
+	// windows built for one candidate serve the next. Nil means a
+	// private engine is made on first use.
+	mfp *partition.Engine
 
 	// Policy scratch, reused across Choose calls by a scheduler that
 	// reuses its context; policies must not let it escape.
 	floats []float64
 	ints   []int
-
-	// maxParts lazily holds the complete set of maximal free
-	// rectangles of Grid (see partition.MaxFreeAll), computed on first
-	// use within one decision and reset by the scheduler between
-	// decisions. A placement disjoint from any member provably keeps
-	// the MFP at MFPBefore, so most probe evaluations reduce to
-	// overlap checks.
-	maxParts      []torus.Partition
-	maxPartsValid bool
 }
 
-// maxRects returns the complete maximal-free-rectangle set for the
-// context's grid, computing it once per decision.
-func (ctx *PlacementContext) maxRects() []torus.Partition {
-	if !ctx.maxPartsValid {
-		ctx.maxParts, _ = ctx.MFP.MaxFreeAll(ctx.Grid, ctx.maxParts)
-		ctx.maxPartsValid = true
+// engine returns the context's MFP engine.
+func (ctx *PlacementContext) engine() *partition.Engine {
+	if ctx.mfp == nil {
+		ctx.mfp = new(partition.Engine)
 	}
-	return ctx.maxParts
+	return ctx.mfp
 }
-
-// resetDecision invalidates per-decision lazy state; the scheduler
-// calls it when re-priming the context for a new grid state.
-func (ctx *PlacementContext) resetDecision() { ctx.maxPartsValid = false }
 
 // Policy ranks candidate partitions for a job and picks one.
 // Choose returns the index of the selected candidate, or -1 to decline
@@ -78,60 +52,17 @@ type Policy interface {
 	Choose(ctx *PlacementContext, cands []torus.Partition) (int, error)
 }
 
-// mfpShortcut reports whether the context carries a maximal free
-// partition consistent with MFPBefore, enabling the disjointness
-// shortcut in mfpAfter.
-func (ctx *PlacementContext) mfpShortcut() bool {
-	return ctx.MFPBefore > 0 && ctx.MFPPart.Shape.Size() == ctx.MFPBefore
-}
-
 // mfpAfter returns the MFP size of the grid with p hypothetically
-// allocated. When the context's MFPPart is consistent and p does not
-// overlap it, the answer is MFPBefore with no grid mutation at all —
-// the common case once the machine fragments. Otherwise the probe
-// allocation runs and is always rolled back (the allocate + release
-// pair restores the occupancy hash, which is what lets the MFP cache
-// and the finder caches survive probing). A failed probe means internal
-// inconsistency (candidates come from a finder over this same grid),
-// reported as an error rather than a panic so one bad sweep point
-// cannot take down its siblings.
+// allocated, exactly and without touching the grid. An invalid or
+// non-free p means internal inconsistency (candidates come from a
+// finder over this same grid), reported as an error rather than a
+// panic so one bad sweep point cannot take down its siblings.
 func mfpAfter(ctx *PlacementContext, p torus.Partition) (int, error) {
 	gr := ctx.Grid
-	if ctx.mfpShortcut() {
-		g := gr.Geometry()
-		if !g.Overlaps(p, ctx.MFPPart) {
-			return ctx.MFPBefore, nil
-		}
-		// Exact, not heuristic: after == MFPBefore iff p is disjoint
-		// from at least one maximal free rectangle (that rectangle
-		// stays free; conversely a surviving MFP-sized rectangle was
-		// already maximal). Only placements cutting into every maximal
-		// rectangle still need a real evaluation.
-		for _, m := range ctx.maxRects() {
-			if !g.Overlaps(p, m) {
-				return ctx.MFPBefore, nil
-			}
-		}
+	if !gr.Geometry().ValidPartition(p) || !gr.PartitionFree(p) {
+		return 0, fmt.Errorf("core: probe allocation of %v failed: partition invalid or not free", p)
 	}
-	if ctx.MFP != nil {
-		// The cached path never mutates the grid: validity is checked up
-		// front (the same conditions Allocate enforces) and the MFP of
-		// the hypothetical state comes from the probe overlay, keyed by
-		// the exact hash a real allocation would produce.
-		if !gr.Geometry().ValidPartition(p) || !gr.PartitionFree(p) {
-			return 0, fmt.Errorf("core: probe allocation of %v failed: partition invalid or not free", p)
-		}
-		_, size := ctx.MFP.MaxFreeProbe(gr, p)
-		return size, nil
-	}
-	if err := gr.Allocate(p, probeOwner); err != nil {
-		return 0, fmt.Errorf("core: probe allocation of %v failed: %w", p, err)
-	}
-	_, size := partition.MaxFree(gr)
-	if err := gr.Release(p, probeOwner); err != nil {
-		return 0, fmt.Errorf("core: probe release of %v failed: %w", p, err)
-	}
-	return size, nil
+	return ctx.engine().MaxFreeAfter(gr, p), nil
 }
 
 // Baseline is Krevat's placement heuristic: keep the maximal free
@@ -144,11 +75,12 @@ type Baseline struct{}
 func (Baseline) Name() string { return "baseline" }
 
 // Choose implements Policy. The scan stops at the first candidate whose
-// after-MFP equals MFPBefore: the MFP can never grow under an
-// allocation, so no later candidate can beat it, and ties already break
-// to the earliest index — the selection is identical to the full scan.
+// after-MFP equals the grid's current MFP: the MFP can never grow under
+// an allocation, so no later candidate can beat it, and ties already
+// break to the earliest index — the selection is identical to the full
+// scan.
 func (Baseline) Choose(ctx *PlacementContext, cands []torus.Partition) (int, error) {
-	bound := ctx.mfpShortcut()
+	_, before := ctx.engine().MaxFree(ctx.Grid)
 	best := -1
 	bestMFP := -1
 	for i, p := range cands {
@@ -159,7 +91,7 @@ func (Baseline) Choose(ctx *PlacementContext, cands []torus.Partition) (int, err
 		if after > bestMFP {
 			bestMFP = after
 			best = i
-			if bound && after == ctx.MFPBefore {
+			if after == before {
 				break
 			}
 		}

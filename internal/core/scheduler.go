@@ -105,8 +105,8 @@ type Decision struct {
 //
 // The scheduler owns every buffer its decision loop needs — candidate
 // lists, the placement context, the EASY reservation's running-set and
-// scratch grid, the returned decision slice — plus a content-addressed
-// MFP cache, so a steady-state Schedule call performs no heap
+// scratch grid, the returned decision slice — plus the MFP engine its
+// policies share, so a steady-state Schedule call performs no heap
 // allocations. The reuse is invisible in behaviour: decisions are
 // byte-identical to the allocate-per-call implementation. A Scheduler
 // is consequently not safe for concurrent use (it never was; the
@@ -115,7 +115,7 @@ type Scheduler struct {
 	cfg Config
 	met schedMetrics
 
-	mfp      *partition.MFPCache
+	mfp      partition.Engine   // MFP and MFP-after-placement answers
 	ctx      PlacementContext   // reused placement context
 	cands    []torus.Partition  // candidate buffer for tryStart/tryBackfill
 	resCands []torus.Partition  // candidate buffer for reservation probes
@@ -152,7 +152,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	return &Scheduler{
 		cfg: cfg,
 		met: newSchedMetrics(cfg.Telemetry),
-		mfp: partition.NewMFPCache(16384),
 	}, nil
 }
 
@@ -169,22 +168,15 @@ func (s *Scheduler) freeOfSize(gr *torus.Grid, size int, buf *[]torus.Partition)
 	return s.cfg.Finder.FreeOfSize(gr, size)
 }
 
-// maxFree is MaxFree through the scheduler's content-addressed cache.
-func (s *Scheduler) maxFree(gr *torus.Grid) (torus.Partition, int) {
-	return s.mfp.MaxFree(gr)
-}
-
 // placementCtx primes the reused placement context for one decision,
 // preserving the policy scratch buffers across calls.
 func (s *Scheduler) placementCtx(gr *torus.Grid, j *job.Job, now float64) *PlacementContext {
-	part, mfp := s.maxFree(gr)
+	_, mfp := s.mfp.MaxFree(gr)
 	s.ctx.Grid = gr
 	s.ctx.Job = j
 	s.ctx.Now = now
 	s.ctx.MFPBefore = mfp
-	s.ctx.MFPPart = part
-	s.ctx.MFP = s.mfp
-	s.ctx.resetDecision()
+	s.ctx.mfp = &s.mfp
 	return &s.ctx
 }
 
@@ -330,10 +322,9 @@ type reservationState struct {
 // reservation simulates the estimated completions of running jobs on a
 // scratch grid to find the earliest time the head job fits, and the
 // partition it would then occupy. The scratch grid is reused across
-// calls under a stable identity (CopyFrom instead of Clone), so the
-// finder keeps one derived state for it and resynchronises only the
-// columns that changed; running may be sorted in place (callers pass
-// the scheduler's own buffer).
+// calls (CopyFrom instead of Clone), so reservations allocate nothing;
+// running may be sorted in place (callers pass the scheduler's own
+// buffer).
 func (s *Scheduler) reservation(gr *torus.Grid, head *job.Job, running []Running, now float64) (reservationState, error) {
 	s.met.reservations.Inc()
 	if s.scratch == nil || s.scratch.Geometry() != gr.Geometry() {

@@ -29,7 +29,7 @@ type Placer interface {
 // (Seed, grid occupancy hash, candidate count) — a pure splitmix64
 // stream with no process state — so the chosen placement is
 // byte-reproducible for a given machine state regardless of call
-// interleaving, snapshot/restore, or parallelism.
+// interleaving or snapshot/restore.
 type AnnealFinder struct {
 	inner *FastFinder
 	seed  int64
@@ -40,11 +40,9 @@ type AnnealFinder struct {
 }
 
 // NewAnnealFinder builds the annealing finder. seed steers the
-// stochastic placement search (same seed = same placements); workers
-// bounds the embedded fast finder's parallel enumeration pool exactly
-// as in NewFastFinder.
-func NewAnnealFinder(seed int64, workers int) *AnnealFinder {
-	return &AnnealFinder{inner: NewFastFinder(workers), seed: seed, Steps: 48}
+// stochastic placement search (same seed = same placements).
+func NewAnnealFinder(seed int64) *AnnealFinder {
+	return &AnnealFinder{inner: NewFastFinder(), seed: seed, Steps: 48}
 }
 
 // Name identifies the algorithm.

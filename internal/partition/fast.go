@@ -1,267 +1,38 @@
 package partition
 
 import (
-	"context"
 	"sync"
 
-	"bgsched/internal/resilience"
 	"bgsched/internal/torus"
 )
 
 // FastFinder is the fast-path free-partition search: the same result
-// set as ShapeFinder (the paper's Appendix 9 algorithm), produced from
-// incrementally maintained occupancy state instead of per-query scans,
-// with a memoized result cache and optional parallel enumeration.
+// set as ShapeFinder (the paper's Appendix 9 algorithm), read off the
+// occupancy bitset by an Engine instead of scanning bases. Each shape
+// of the requested size contributes its window's bits in ascending node
+// id, which is already the canonical order.
 //
-// Three layers make it fast:
-//
-//  1. Incremental occupancy. The grid maintains per-column and
-//     per-plane projection counts and an occupancy hash in O(1) per
-//     node on allocate/release. The finder derives per-column busy
-//     prefix sums from them and resynchronises only the columns the
-//     grid reported dirty through its column-invalidation callback
-//     since the last query — O(changed volume), not O(machine), per
-//     state change, without even scanning the unchanged column hashes.
-//  2. Memoized candidates. Results are cached per (occupancy hash,
-//     size) in a direct-mapped slot table whose entries own reusable
-//     backing storage, so both hits and misses are allocation-free in
-//     steady state. Repeated queries between state changes are O(1),
-//     and because the hash depends only on the free/busy pattern, a
-//     state *recurrence* (allocate + release of a hypothetical
-//     placement, as placement policies do) re-hits the cache. Entries
-//     are never served stale: any occupancy change changes the hash
-//     and so the key; a slot collision merely recomputes.
-//  3. Parallel enumeration. With Workers > 1 the (shape, base-x) task
-//     list is split across a bounded resilience.ForEach pool. Workers
-//     fill disjoint per-task slots that are concatenated in task order
-//     and sorted, so parallel output is byte-identical to sequential
-//     (the deterministic sort leaves no room for scheduling order to
-//     leak; ties cannot arise because candidates are distinct).
-//
-// The zero value is ready to use (sequential). FastFinder is stateful
-// and safe for concurrent use; a single mutex serialises queries,
-// which matches the single-threaded scheduler hot path it serves.
+// The zero value is ready to use. FastFinder is safe for concurrent
+// use; a mutex serialises queries, which matches the single-threaded
+// scheduler hot path it serves.
 type FastFinder struct {
-	// Workers bounds the enumeration pool; <= 1 enumerates on the
-	// calling goroutine.
-	Workers int
-	// Metrics, when non-nil, receives per-call search-cost telemetry
-	// plus the fast path's cache hit/miss/invalidation counters.
+	// Metrics, when non-nil, receives per-call search-cost telemetry.
 	Metrics *Metrics
 
-	mu      sync.Mutex
-	grids   map[uint64]*fastGridState // derived occupancy, by Grid.ID()
-	gridAge []uint64                  // grid eviction order (FIFO)
-	results []resultSlot              // direct-mapped memoized candidates
-	shapes  map[shapesKey][]torus.Shape
-
-	// Enumeration scratch, reused across calls under mu so cache misses
-	// do not allocate in steady state.
-	freeZ      []int
-	tasks      []fastTask
-	bzBuf      []int
-	outs       [][]torus.Partition
-	basesPer   []int
-	rejectsPer []int
+	mu  sync.Mutex
+	eng Engine
 }
 
-// NewFastFinder returns a fast finder with the given enumeration
-// worker bound (<= 1 means sequential).
-func NewFastFinder(workers int) *FastFinder { return &FastFinder{Workers: workers} }
+// NewFastFinder returns a fast finder.
+func NewFastFinder() *FastFinder { return &FastFinder{} }
 
 // Name implements Finder.
 func (f *FastFinder) Name() string { return "fast" }
 
-const (
-	// maxCachedGrids bounds the per-grid derived state kept alive; the
-	// scheduler touches the live grid plus a handful of reservation
-	// scratch clones per decision.
-	maxCachedGrids = 8
-	// resultSlots sizes the direct-mapped result cache (a power of
-	// two). A BG/L-sized machine sees a few dozen distinct (state,
-	// size) pairs between invalidations; 512 slots give recurrence
-	// hits headroom while bounding retained storage.
-	resultSlots = 512
-)
-
-// fastKey identifies a memoized result: the machine geometry, the
-// occupancy pattern (by hash) and the requested size. The geometry is
-// part of the key because the occupancy hash alone cannot distinguish
-// machines — every all-free grid hashes to zero — and one finder may
-// serve grids of different geometries or topologies.
-type fastKey struct {
-	geom torus.Geometry
-	hash uint64
-	size int
-}
-
-// slotIndex maps a key onto the direct-mapped result table.
-func (k fastKey) slotIndex() int {
-	h := k.hash ^ (k.hash >> 32) ^ (uint64(k.size) * 0x9e3779b97f4a7c15)
-	return int(h & (resultSlots - 1))
-}
-
-// resultSlot is one direct-mapped cache entry. parts is slot-owned
-// backing storage, truncated and refilled in place on overwrite so the
-// steady state allocates nothing.
-type resultSlot struct {
-	key   fastKey
-	parts []torus.Partition
-	used  bool
-}
-
-// shapesKey memoizes Geometry.ShapesOf, which is a pure function of
-// (geometry, size) but allocates on every call.
-type shapesKey struct {
-	geom torus.Geometry
-	size int
-}
-
-// fastGridState is the finder's derived view of one grid: per-column
-// busy prefix sums over z, the column hashes they were built at, and
-// the dirty-column set reported by the grid's invalidation callback
-// since the last sync.
-type fastGridState struct {
-	pre      []int    // (dimZ+1) prefix sums of busy cells per column
-	colStamp []uint64 // ColumnHash value each column was synced at
-	synced   bool     // false until the first full build
-
-	dirty     []int  // columns touched since last sync, deduped
-	dirtyMark []bool // membership bitmap for dirty
-	detach    func() // unregisters the column watcher on eviction
-}
-
-// markDirty is the grid column-invalidation callback.
-func (st *fastGridState) markDirty(col int) {
-	if !st.dirtyMark[col] {
-		st.dirtyMark[col] = true
-		st.dirty = append(st.dirty, col)
-	}
-}
-
-// windowBusy reports whether the (possibly wrapping) z-window
-// [bz, bz+sz) of column col contains any busy cell, in O(1) from the
-// prefix sums.
-func (st *fastGridState) windowBusy(col, bz, sz, dimZ int) bool {
-	base := col * (dimZ + 1)
-	if end := bz + sz; end <= dimZ {
-		return st.pre[base+end]-st.pre[base+bz] > 0
-	}
-	return st.pre[base+dimZ]-st.pre[base+bz]+st.pre[base+bz+sz-dimZ] > 0
-}
-
-// state returns (creating if needed) the derived state for gr,
-// evicting the oldest grid beyond the cache bound. A new state
-// subscribes to the grid's column-invalidation callback so later syncs
-// touch only the columns that actually changed; eviction unsubscribes.
-func (f *FastFinder) state(gr *torus.Grid) *fastGridState {
-	if f.grids == nil {
-		f.grids = make(map[uint64]*fastGridState)
-	}
-	id := gr.ID()
-	if st, ok := f.grids[id]; ok {
-		return st
-	}
-	if len(f.gridAge) >= maxCachedGrids {
-		old := f.gridAge[0]
-		if ost := f.grids[old]; ost != nil && ost.detach != nil {
-			ost.detach()
-		}
-		delete(f.grids, old)
-		f.gridAge = f.gridAge[1:]
-	}
-	g := gr.Geometry()
-	cols := g.Dims.X * g.Dims.Y
-	st := &fastGridState{
-		pre:       make([]int, cols*(g.Dims.Z+1)),
-		colStamp:  make([]uint64, cols),
-		dirty:     make([]int, 0, cols),
-		dirtyMark: make([]bool, cols),
-	}
-	h := gr.AddColumnWatcher(st.markDirty)
-	st.detach = func() { gr.RemoveColumnWatcher(h) }
-	f.grids[id] = st
-	f.gridAge = append(f.gridAge, id)
-	return st
-}
-
-// syncCol rebuilds one column's prefix sums if its occupancy hash moved
-// (or unconditionally on the first full build); reports 1 if rebuilt.
-func (st *fastGridState) syncCol(gr *torus.Grid, col int, dimZ int, force bool) int {
-	h := gr.ColumnHash(col)
-	if !force && st.colStamp[col] == h {
-		return 0
-	}
-	st.colStamp[col] = h
-	base := col * (dimZ + 1)
-	node := col * dimZ
-	sum := 0
-	st.pre[base] = 0
-	for z := 0; z < dimZ; z++ {
-		if !gr.NodeFree(node + z) {
-			sum++
-		}
-		st.pre[base+z+1] = sum
-	}
-	return 1
-}
-
-// sync brings the prefix sums up to date with gr. The first call
-// builds every column; afterwards only the columns the grid reported
-// dirty are visited, and of those only the ones whose hash actually
-// moved are rebuilt (a probe allocate + release restores the hash, so
-// it costs nothing here). Returns how many columns were rebuilt.
-func (st *fastGridState) sync(gr *torus.Grid) int {
-	dimZ := gr.Geometry().Dims.Z
-	rebuilt := 0
-	if !st.synced {
-		for col := range st.colStamp {
-			rebuilt += st.syncCol(gr, col, dimZ, true)
-		}
-		st.synced = true
-	} else {
-		for _, col := range st.dirty {
-			rebuilt += st.syncCol(gr, col, dimZ, false)
-		}
-	}
-	for _, col := range st.dirty {
-		st.dirtyMark[col] = false
-	}
-	st.dirty = st.dirty[:0]
-	return rebuilt
-}
-
-// fastTask is one parallel unit of enumeration: every base with this
-// shape and base-x coordinate. [bzLo, bzHi) indexes the finder's bzBuf
-// with the z-bases that survived the plane-projection prune (offsets,
-// not a subslice, so bzBuf may grow while tasks accumulate).
-type fastTask struct {
-	shape      torus.Shape
-	bx         int
-	bzLo, bzHi int
-}
-
-// shapesOf memoizes ShapesOf per (geometry, size); the returned slice
-// is shared and must not be mutated.
-func (f *FastFinder) shapesOf(g torus.Geometry, size int) []torus.Shape {
-	k := shapesKey{geom: g, size: size}
-	if s, ok := f.shapes[k]; ok {
-		return s
-	}
-	if f.shapes == nil {
-		f.shapes = make(map[shapesKey][]torus.Shape)
-	}
-	s := g.ShapesOf(size)
-	f.shapes[k] = s
-	return s
-}
-
 // FreeOfSize implements Finder. The result is a fresh slice the caller
-// may keep or mutate.
+// may keep or mutate (nil when nothing is free).
 func (f *FastFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return clonePartitions(f.freeOfSizeLocked(gr, size))
+	return f.FreeOfSizeInto(gr, size, nil)
 }
 
 // FreeOfSizeInto is FreeOfSize appending into buf[:0] instead of
@@ -270,205 +41,12 @@ func (f *FastFinder) FreeOfSize(gr *torus.Grid, size int) []torus.Partition {
 func (f *FastFinder) FreeOfSizeInto(gr *torus.Grid, size int, buf []torus.Partition) []torus.Partition {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return append(buf[:0], f.freeOfSizeLocked(gr, size)...)
-}
-
-// freeOfSizeLocked answers one query from the result cache, falling
-// back to enumeration. The returned slice is cache-owned; callers copy.
-func (f *FastFinder) freeOfSizeLocked(gr *torus.Grid, size int) []torus.Partition {
 	sw := f.Metrics.startTimer()
-	g := gr.Geometry()
-	shapes := f.shapesOf(g, size)
-	if len(shapes) == 0 {
+	out, shapes := f.eng.appendFree(gr, size, buf[:0])
+	if shapes == 0 {
 		f.Metrics.noShapes(sw)
-		return nil
-	}
-
-	key := fastKey{geom: g, hash: gr.OccupancyHash(), size: size}
-	if f.results == nil {
-		f.results = make([]resultSlot, resultSlots)
-	}
-	slot := &f.results[key.slotIndex()]
-	if slot.used && slot.key == key {
-		f.Metrics.cacheHit()
-		f.Metrics.observe(sw, len(slot.parts), 0, 0)
-		return slot.parts
-	}
-
-	st := f.state(gr)
-	f.Metrics.cacheMiss(st.sync(gr))
-
-	slot.key = key
-	slot.used = true
-	slot.parts = slot.parts[:0]
-	bases, rejects := 0, 0
-	if gr.FreeCount() >= size { // fewer free nodes than requested: no candidate exists
-		slot.parts, bases, rejects = f.enumerate(gr, st, shapes, slot.parts)
-	}
-	f.Metrics.observe(sw, len(slot.parts), bases, rejects)
-	return slot.parts
-}
-
-// growInts returns s with length n, reusing capacity; contents are
-// zeroed.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// enumerate runs the pruned shape enumeration, sequentially or on the
-// worker pool, appends the sorted candidates to out and returns it plus
-// the bases-scanned / early-reject tallies. All scratch lives on the
-// finder, so steady-state misses allocate nothing.
-func (f *FastFinder) enumerate(gr *torus.Grid, st *fastGridState, shapes []torus.Shape, out []torus.Partition) ([]torus.Partition, int, int) {
-	g := gr.Geometry()
-	dims := g.Dims
-
-	// Per-axis projection prune: a z-window is only worth scanning if
-	// every z-plane it spans has at least shape.X*shape.Y free nodes.
-	planeXY := dims.X * dims.Y
-	f.freeZ = growInts(f.freeZ, dims.Z)
-	for z := 0; z < dims.Z; z++ {
-		f.freeZ[z] = planeXY - gr.PlaneBusy(2, z)
-	}
-
-	f.tasks = f.tasks[:0]
-	f.bzBuf = f.bzBuf[:0]
-	bases, rejects := 0, 0
-	for _, shape := range shapes {
-		rx := baseRange(dims.X, shape.X, g.Wrap)
-		ry := baseRange(dims.Y, shape.Y, g.Wrap)
-		rz := baseRange(dims.Z, shape.Z, g.Wrap)
-		bzLo := len(f.bzBuf)
-		for bz := 0; bz < rz; bz++ {
-			ok := true
-			for dz := 0; dz < shape.Z; dz++ {
-				z := bz + dz
-				if z >= dims.Z {
-					z -= dims.Z
-				}
-				if f.freeZ[z] < shape.X*shape.Y {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				f.bzBuf = append(f.bzBuf, bz)
-			} else {
-				// The whole (bx, by) plane of bases at this bz dies at
-				// once; account for them as pruned rejects.
-				bases += rx * ry
-				rejects += rx * ry
-			}
-		}
-		if len(f.bzBuf) == bzLo {
-			continue
-		}
-		for bx := 0; bx < rx; bx++ {
-			f.tasks = append(f.tasks, fastTask{shape: shape, bx: bx, bzLo: bzLo, bzHi: len(f.bzBuf)})
-		}
-	}
-	n := len(f.tasks)
-	if n == 0 {
-		return out, bases, rejects
-	}
-
-	for len(f.outs) < n {
-		f.outs = append(f.outs, nil)
-	}
-	for i := 0; i < n; i++ {
-		f.outs[i] = f.outs[i][:0]
-	}
-	f.basesPer = growInts(f.basesPer, n)
-	f.rejectsPer = growInts(f.rejectsPer, n)
-
-	if f.Workers > 1 && n > 1 {
-		// Tasks are microseconds each, so they are handed to the pool in
-		// contiguous chunks — a few per worker for balance — to amortise
-		// the pool's per-item dispatch cost. runTask never fails and the
-		// context is never cancelled, so ForEach's only possible return
-		// is nil.
-		chunks := f.Workers * 4
-		if chunks > n {
-			chunks = n
-		}
-		per := (n + chunks - 1) / chunks
-		_ = resilience.ForEach(context.Background(), chunks, f.Workers, func(c int) error {
-			lo := c * per
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				f.runTask(st, g, i)
-			}
-			return nil
-		})
 	} else {
-		for i := 0; i < n; i++ {
-			f.runTask(st, g, i)
-		}
+		f.Metrics.observe(sw, len(out), 0, 0)
 	}
-
-	for i := 0; i < n; i++ {
-		out = append(out, f.outs[i]...)
-		bases += f.basesPer[i]
-		rejects += f.rejectsPer[i]
-	}
-	sortPartitions(out)
-	return out, bases, rejects
-}
-
-// runTask scans every base of one (shape, base-x) task into the task's
-// private output slot. Disjoint slots keep the parallel path exact.
-func (f *FastFinder) runTask(st *fastGridState, g torus.Geometry, i int) {
-	t := f.tasks[i]
-	dims := g.Dims
-	shape := t.shape
-	ry := baseRange(dims.Y, shape.Y, g.Wrap)
-	out := f.outs[i]
-	for by := 0; by < ry; by++ {
-	nextBase:
-		for _, bz := range f.bzBuf[t.bzLo:t.bzHi] {
-			f.basesPer[i]++
-			for dx := 0; dx < shape.X; dx++ {
-				x := t.bx + dx
-				if x >= dims.X {
-					x -= dims.X
-				}
-				row := x * dims.Y
-				for dy := 0; dy < shape.Y; dy++ {
-					y := by + dy
-					if y >= dims.Y {
-						y -= dims.Y
-					}
-					if st.windowBusy(row+y, bz, shape.Z, dims.Z) {
-						f.rejectsPer[i]++
-						continue nextBase
-					}
-				}
-			}
-			out = append(out, torus.Partition{
-				Base:  torus.Coord{X: t.bx, Y: by, Z: bz},
-				Shape: shape,
-			})
-		}
-	}
-	f.outs[i] = out
-}
-
-// clonePartitions returns a defensive copy so cached slices can never
-// be mutated by callers (empty in, nil out — finders report "no
-// candidates" as nil).
-func clonePartitions(ps []torus.Partition) []torus.Partition {
-	if len(ps) == 0 {
-		return nil
-	}
-	return append([]torus.Partition(nil), ps...)
+	return out
 }

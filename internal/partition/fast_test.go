@@ -10,25 +10,24 @@ import (
 	"bgsched/internal/torus"
 )
 
-// TestFastFinderCacheHitAndInvalidation: repeated queries between
-// state changes are answered from the cache; any allocate or release
-// changes the key and forces re-enumeration with the new state.
+// TestFastFinderCacheHitAndInvalidation: a repeat query on an
+// unchanged grid reuses the engine's windows (the occupancy generation
+// stays put), an allocation invalidates them, and the rebuilt answer
+// excludes the new allocation and matches the shape finder.
 func TestFastFinderCacheHitAndInvalidation(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.4, 11)
 	reg := telemetry.New()
-	f := Instrumented(NewFastFinder(0), reg).(*FastFinder)
+	f := Instrumented(NewFastFinder(), reg).(*FastFinder)
 
 	first := f.FreeOfSize(gr, 8)
-	if got := f.Metrics.CacheMisses.Value(); got != 1 {
-		t.Fatalf("misses after first query = %d, want 1", got)
-	}
+	gen := f.eng.gen
 	second := f.FreeOfSize(gr, 8)
-	if got := f.Metrics.CacheHits.Value(); got != 1 {
-		t.Fatalf("hits after repeat query = %d, want 1", got)
+	if f.eng.gen != gen {
+		t.Fatalf("repeat query on an unchanged grid rebuilt windows (generation %d -> %d)", gen, f.eng.gen)
 	}
 	if !reflect.DeepEqual(first, second) {
-		t.Fatal("cache hit returned different candidates")
+		t.Fatal("repeat query on an unchanged grid returned different candidates")
 	}
 
 	p := first[0]
@@ -36,32 +35,29 @@ func TestFastFinderCacheHitAndInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := f.FreeOfSize(gr, 8)
-	if got := f.Metrics.CacheMisses.Value(); got != 2 {
-		t.Fatalf("misses after state change = %d, want 2", got)
-	}
-	if f.Metrics.CacheInvalidations.Value() == 0 {
-		t.Fatal("state change rebuilt no derived columns")
+	if f.eng.gen == gen {
+		t.Fatal("state change did not invalidate the windows")
 	}
 	for _, q := range after {
 		if g.Overlaps(q, p) {
 			t.Fatalf("stale candidate %v overlaps fresh allocation %v", q, p)
 		}
 	}
-	want := (ShapeFinder{}).FreeOfSize(gr, 8)
-	if !reflect.DeepEqual(after, want) {
+	if want := (ShapeFinder{}).FreeOfSize(gr, 8); !reflect.DeepEqual(after, want) {
 		t.Fatalf("post-invalidation result diverges from shape finder (%d vs %d)", len(after), len(want))
+	}
+	if got := f.Metrics.Calls.Value(); got != 3 {
+		t.Fatalf("calls = %d, want 3", got)
 	}
 }
 
-// TestFastFinderRecurrenceHit: an allocate followed by the matching
-// release restores the occupancy hash, so the next query re-hits the
-// cache instead of re-enumerating — the pattern placement policies
-// generate when they probe hypothetical placements.
+// TestFastFinderRecurrenceHit: allocate+release round trips between two
+// queries leave the busy words as they were, so the second query reuses
+// the windows and returns the same candidates.
 func TestFastFinderRecurrenceHit(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.15, 12)
-	reg := telemetry.New()
-	f := Instrumented(NewFastFinder(0), reg).(*FastFinder)
+	f := NewFastFinder()
 
 	before := f.FreeOfSize(gr, 8)
 	if len(before) == 0 {
@@ -75,45 +71,24 @@ func TestFastFinderRecurrenceHit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	misses := f.Metrics.CacheMisses.Value()
+	gen := f.eng.gen
 	again := f.FreeOfSize(gr, 8)
-	if got := f.Metrics.CacheMisses.Value(); got != misses {
-		t.Fatalf("probe round-trips caused a re-enumeration (misses %d -> %d)", misses, got)
+	if f.eng.gen != gen {
+		t.Fatalf("probe round-trips caused a window rebuild (generation %d -> %d)", gen, f.eng.gen)
 	}
 	if !reflect.DeepEqual(before, again) {
 		t.Fatal("recurrence hit returned different candidates")
 	}
 }
 
-// TestFastFinderParallelIdenticalToSequential: the parallel pool must
-// be byte-identical to sequential enumeration on the same states.
-func TestFastFinderParallelIdenticalToSequential(t *testing.T) {
-	for _, wrap := range []bool{true, false} {
-		g := torus.NewGeometry(4, 4, 8, wrap)
-		for seed := int64(0); seed < 20; seed++ {
-			gr := randomGrid(t, g, float64(seed%10)/10, 3000+seed)
-			for _, size := range []int{1, 4, 8, 16, 32, 64, 128} {
-				// Fresh finders each round: no shared cache, so both
-				// actually enumerate.
-				seq := NewFastFinder(1).FreeOfSize(gr, size)
-				par := NewFastFinder(8).FreeOfSize(gr, size)
-				if !reflect.DeepEqual(seq, par) {
-					t.Fatalf("wrap=%v seed=%d size=%d: parallel (%d parts) != sequential (%d parts)",
-						wrap, seed, size, len(par), len(seq))
-				}
-			}
-		}
-	}
-}
-
-// TestFastFinderManyGrids: the per-grid derived state is bounded;
-// cycling through more grids than the bound must stay correct.
+// TestFastFinderManyGrids: one finder serves any number of grids, of
+// any geometry, in any interleaving.
 func TestFastFinderManyGrids(t *testing.T) {
-	g := torus.BlueGeneL()
-	f := NewFastFinder(0)
-	grids := make([]*torus.Grid, 3*maxCachedGrids)
+	geoms := []torus.Geometry{torus.BlueGeneL(), torus.NewGeometry(3, 5, 7, false), torus.NewGeometry(2, 3, 4, true)}
+	f := NewFastFinder()
+	grids := make([]*torus.Grid, 24)
 	for i := range grids {
-		grids[i] = randomGrid(t, g, 0.35, 500+int64(i))
+		grids[i] = randomGrid(t, geoms[i%len(geoms)], 0.35, 500+int64(i))
 	}
 	for round := 0; round < 3; round++ {
 		for i, gr := range grids {
@@ -127,11 +102,11 @@ func TestFastFinderManyGrids(t *testing.T) {
 }
 
 // TestFastFinderResultIsolation: callers may mutate the returned slice
-// without corrupting the cache.
+// without affecting later answers.
 func TestFastFinderResultIsolation(t *testing.T) {
 	g := torus.BlueGeneL()
 	gr := randomGrid(t, g, 0.3, 77)
-	f := NewFastFinder(0)
+	f := NewFastFinder()
 	first := f.FreeOfSize(gr, 8)
 	if len(first) == 0 {
 		t.Fatal("need candidates")
@@ -139,13 +114,13 @@ func TestFastFinderResultIsolation(t *testing.T) {
 	first[0] = torus.Partition{Base: torus.Coord{X: -9}, Shape: torus.Shape{X: -9}}
 	second := f.FreeOfSize(gr, 8)
 	if second[0].Base.X == -9 {
-		t.Fatal("mutating a returned slice corrupted the cache")
+		t.Fatal("mutating a returned slice changed a later answer")
 	}
 }
 
 // TestFastFinderConcurrentQueries hammers one finder from many
 // goroutines over several grids; run under -race this is the
-// concurrency guard for the cache and pool code.
+// concurrency guard for the finder's shared window state.
 func TestFastFinderConcurrentQueries(t *testing.T) {
 	g := torus.BlueGeneL()
 	grids := []*torus.Grid{
@@ -157,7 +132,7 @@ func TestFastFinderConcurrentQueries(t *testing.T) {
 	for i, gr := range grids {
 		want[i] = ShapeFinder{}.FreeOfSize(gr, 8)
 	}
-	f := NewFastFinder(4)
+	f := NewFastFinder()
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -186,7 +161,7 @@ func TestFastFinderConcurrentQueries(t *testing.T) {
 // request.
 func TestFastFinderNoShapesAndFullGrid(t *testing.T) {
 	g := torus.BlueGeneL()
-	f := NewFastFinder(0)
+	f := NewFastFinder()
 	gr := torus.NewGrid(g)
 	if got := f.FreeOfSize(gr, 11); got != nil { // 11 is not a feasible size on 4x4x8
 		t.Fatalf("infeasible size returned %d parts", len(got))

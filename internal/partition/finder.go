@@ -1,8 +1,10 @@
 // Package partition implements the free-partition search algorithms the
 // scheduler relies on: the naive exhaustive search, a Projection-of-
 // Partitions (POP) style dynamic-programming finder in the spirit of
-// Krevat et al., and the paper's shape-enumeration finder (Appendix 9)
-// with lazily built run-length tables and early termination.
+// Krevat et al., the paper's shape-enumeration finder (Appendix 9)
+// with lazily built run-length tables and early termination, and the
+// occupancy-bitset Engine behind the fast finder and every maximal
+// free partition (MFP) question.
 //
 // All finders return exactly the same set of partitions; they differ
 // only in asymptotic cost. The set is the paper's FREEPARTS: every
@@ -17,7 +19,6 @@ package partition
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"bgsched/internal/torus"
 )
@@ -51,18 +52,17 @@ var Names = []string{"naive", "pop", "shape", "fast", "anneal"}
 
 // ByName constructs the named finder algorithm: "naive", "pop",
 // "shape" (also the default for an empty name), "fast" or "anneal".
-// workers bounds the parallel enumeration pool of the fast and anneal
-// finders (<= 1 keeps them sequential) and is ignored by the others.
-// The anneal finder's placement search gets seed 0; use ByNameSeeded
-// to steer it.
-func ByName(name string, workers int) (Finder, error) {
-	return ByNameSeeded(name, workers, 0)
+// The second argument is ignored; it once sized a parallel enumeration
+// pool and stays so existing callers keep compiling. The anneal
+// finder's placement search gets seed 0; use ByNameSeeded to steer it.
+func ByName(name string, _ int) (Finder, error) {
+	return ByNameSeeded(name, 0)
 }
 
 // ByNameSeeded is ByName with an explicit placement-search seed for the
 // "anneal" finder (the other algorithms are deterministic and ignore
 // it). An unknown name is rejected with the registered names listed.
-func ByNameSeeded(name string, workers int, seed int64) (Finder, error) {
+func ByNameSeeded(name string, seed int64) (Finder, error) {
 	switch name {
 	case "", "shape":
 		return ShapeFinder{}, nil
@@ -71,9 +71,9 @@ func ByNameSeeded(name string, workers int, seed int64) (Finder, error) {
 	case "pop":
 		return POPFinder{}, nil
 	case "fast":
-		return NewFastFinder(workers), nil
+		return NewFastFinder(), nil
 	case "anneal":
-		return NewAnnealFinder(seed, workers), nil
+		return NewAnnealFinder(seed), nil
 	}
 	return nil, fmt.Errorf("partition: unknown finder %q (registered finders: %s)",
 		name, strings.Join(Names, ", "))
@@ -194,317 +194,20 @@ func computeRunsInto(val func(int) bool, n int, wrap bool, runs []int) {
 	}
 }
 
-// computeRunsBool is computeRunsInto specialised to a bool slice: the
-// MFP sweeps call it in their innermost loops, where the generic
-// version's indirect predicate call per element is measurable.
-func computeRunsBool(vals []bool, wrap bool, runs []int) {
-	n := len(vals)
-	allTrue := true
-	for i := n - 1; i >= 0; i-- {
-		if !vals[i] {
-			runs[i] = 0
-			allTrue = false
-		} else if i == n-1 {
-			runs[i] = 1
-		} else {
-			runs[i] = runs[i+1] + 1
-		}
-	}
-	if allTrue {
-		for i := 0; i < n; i++ {
-			runs[i] = n
-		}
-		return
-	}
-	if wrap && n > 1 && vals[n-1] && vals[0] {
-		head := runs[0]
-		for i := n - 1; i >= 0 && vals[i]; i-- {
-			runs[i] += head
-			if runs[i] > n {
-				runs[i] = n
-			}
-		}
-	}
-}
-
-// mfpScratch holds reusable buffers for MaxFree; pooled to keep the
-// hot placement-evaluation path allocation-free. blocked is the probe
-// overlay: nodes marked true are treated as busy regardless of the
-// grid, letting MaxFreeProbe evaluate hypothetical placements without
-// mutating grid state. It is all-false except inside maxFreeProbeWith,
-// which clears its marks before returning.
-type mfpScratch struct {
-	zRuns   []int  // per-node z run lengths
-	freeOK  []bool // per-node free-and-not-blocked flags
-	colOK   []bool // dimX*dimY projected plane
-	yRun    []int  // dimX*dimY y-run lengths on the plane
-	rowOK   []bool // dimX row flags
-	xRun    []int  // dimX x-run lengths
-	blocked []bool // probe overlay, len N, normally all-false
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(mfpScratch) }}
-
-func (s *mfpScratch) ensure(g torus.Geometry) {
-	n := g.N()
-	plane := g.Dims.X * g.Dims.Y
-	if cap(s.zRuns) < n {
-		s.zRuns = make([]int, n)
-	}
-	s.zRuns = s.zRuns[:n]
-	if cap(s.blocked) < n {
-		s.blocked = make([]bool, n)
-	}
-	s.blocked = s.blocked[:n]
-	if cap(s.freeOK) < n {
-		s.freeOK = make([]bool, n)
-	}
-	s.freeOK = s.freeOK[:n]
-	if cap(s.colOK) < plane {
-		s.colOK = make([]bool, plane)
-		s.yRun = make([]int, plane)
-	}
-	s.colOK = s.colOK[:plane]
-	s.yRun = s.yRun[:plane]
-	if cap(s.rowOK) < g.Dims.X {
-		s.rowOK = make([]bool, g.Dims.X)
-		s.xRun = make([]int, g.Dims.X)
-	}
-	s.rowOK = s.rowOK[:g.Dims.X]
-	s.xRun = s.xRun[:g.Dims.X]
-}
-
-// fillZRuns computes per-column z run lengths of free nodes.
-func (s *mfpScratch) fillZRuns(gr *torus.Grid) {
-	g := gr.Geometry()
-	dims := g.Dims
-	n := g.N()
-	for i := 0; i < n; i++ {
-		s.freeOK[i] = gr.NodeFree(i) && !s.blocked[i]
-	}
-	cols := dims.X * dims.Y
-	for c := 0; c < cols; c++ {
-		col := c * dims.Z
-		computeRunsBool(s.freeOK[col:col+dims.Z], g.Wrap, s.zRuns[col:col+dims.Z])
-	}
-}
-
 // MaxFree returns the maximal free partition (MFP) of the grid: the
 // free, contiguous, rectangular partition with the greatest node count,
 // and that count. If the machine is completely full it returns size 0.
 //
 // The MFP is the quantity Krevat's heuristic (and this paper's L_MFP
-// factor) is built on. The implementation projects each z-window onto a
-// 2D plane and finds the plane's maximum all-true rectangle, reusing
-// pooled scratch buffers so repeated hypothetical-placement evaluations
-// do not allocate.
+// factor) is built on. This is a one-shot call on a fresh Engine;
+// callers that ask repeatedly keep an Engine of their own.
 func MaxFree(gr *torus.Grid) (torus.Partition, int) {
-	sc := scratchPool.Get().(*mfpScratch)
-	defer scratchPool.Put(sc)
-	return maxFreeWith(sc, gr)
-}
-
-// maxFreeWith is MaxFree on an explicit scratch, for callers (the
-// MFPCache) that own their buffers and must never touch the shared
-// pool on the hot path.
-func maxFreeWith(sc *mfpScratch, gr *torus.Grid) (torus.Partition, int) {
-	g := gr.Geometry()
-	dims := g.Dims
-	sc.ensure(g)
-	sc.fillZRuns(gr)
-
-	best := 0
-	var bestPart torus.Partition
-	plane := dims.X * dims.Y
-
-	for bz := 0; bz < dims.Z; bz++ {
-		// Descending sz gives the strongest pruning: once a window
-		// cannot beat the best volume even with a full plane, no
-		// smaller sz at this bz can either.
-		for sz := dims.Z; sz >= 1; sz-- {
-			if plane*sz <= best {
-				break
-			}
-			if g.Wrap && sz == dims.Z && bz != 0 {
-				continue
-			}
-			if !g.Wrap && bz+sz > dims.Z {
-				continue
-			}
-			// Project: column (x,y) is usable if its z-run covers the
-			// window.
-			usable := 0
-			for x := 0; x < dims.X; x++ {
-				row := x * dims.Y
-				zrow := row * dims.Z
-				for y := 0; y < dims.Y; y++ {
-					ok := sc.zRuns[zrow+y*dims.Z+bz] >= sz
-					sc.colOK[row+y] = ok
-					if ok {
-						usable++
-					}
-				}
-			}
-			if usable*sz <= best {
-				continue
-			}
-			area, bx, by, sx, sy := sc.maxRect2D(dims.X, dims.Y, g.Wrap)
-			if area*sz > best {
-				best = area * sz
-				bestPart = torus.Partition{
-					Base:  torus.Coord{X: bx, Y: by, Z: bz},
-					Shape: torus.Shape{X: sx, Y: sy, Z: sz},
-				}
-			}
-		}
-	}
-	return bestPart, best
-}
-
-// MaxFreeAll appends to buf[:0] every maximal free rectangle: each
-// free, contiguous, rectangular partition whose node count equals the
-// MFP size (canonicalised like the finders' output), and returns the
-// list with that size. The complete set is what makes the placement
-// policies' no-probe shortcut exact: a hypothetical placement keeps
-// the MFP size unchanged if and only if it is disjoint from at least
-// one of these rectangles — "if" because that rectangle stays free,
-// "only if" because any free rectangle of MFP size after the placement
-// was already a maximal free rectangle before it.
-func MaxFreeAll(gr *torus.Grid, buf []torus.Partition) ([]torus.Partition, int) {
-	sc := scratchPool.Get().(*mfpScratch)
-	defer scratchPool.Put(sc)
-	return maxFreeAllWith(sc, gr, buf)
-}
-
-// maxFreeAllWith is the collecting variant of maxFreeWith: same sweep,
-// but pruning only on strictly-worse bounds so ties survive, and every
-// rectangle matching the best volume is emitted. Completeness holds
-// because a maximal rectangle is maximal in every dimension — the
-// sweep's run lengths recover exactly its extents at its own window —
-// and buf is reset whenever the best volume grows, so stale smaller
-// entries never linger.
-func maxFreeAllWith(sc *mfpScratch, gr *torus.Grid, buf []torus.Partition) ([]torus.Partition, int) {
-	g := gr.Geometry()
-	dims := g.Dims
-	sc.ensure(g)
-	sc.fillZRuns(gr)
-
-	best := 0
-	buf = buf[:0]
-	plane := dims.X * dims.Y
-	dx, dy := dims.X, dims.Y
-
-	for bz := 0; bz < dims.Z; bz++ {
-		for sz := dims.Z; sz >= 1; sz-- {
-			if plane*sz < best {
-				break
-			}
-			if g.Wrap && sz == dims.Z && bz != 0 {
-				continue
-			}
-			if !g.Wrap && bz+sz > dims.Z {
-				continue
-			}
-			usable := 0
-			for x := 0; x < dx; x++ {
-				row := x * dy
-				zrow := row * dims.Z
-				for y := 0; y < dy; y++ {
-					ok := sc.zRuns[zrow+y*dims.Z+bz] >= sz
-					sc.colOK[row+y] = ok
-					if ok {
-						usable++
-					}
-				}
-			}
-			if usable*sz < best || usable == 0 {
-				continue
-			}
-			for x := 0; x < dx; x++ {
-				row := x * dy
-				computeRunsBool(sc.colOK[row:row+dy], g.Wrap, sc.yRun[row:row+dy])
-			}
-			for by0 := 0; by0 < dy; by0++ {
-				for sy0 := dy; sy0 >= 1; sy0-- {
-					if dx*sy0*sz < best {
-						break
-					}
-					if g.Wrap && sy0 == dy && by0 != 0 {
-						continue
-					}
-					if !g.Wrap && by0+sy0 > dy {
-						continue
-					}
-					for x := 0; x < dx; x++ {
-						sc.rowOK[x] = sc.yRun[x*dy+by0] >= sy0
-					}
-					computeRunsBool(sc.rowOK[:dx], g.Wrap, sc.xRun)
-					for x := 0; x < dx; x++ {
-						r := sc.xRun[x]
-						if r == 0 {
-							continue
-						}
-						if g.Wrap && r == dx && x != 0 {
-							continue
-						}
-						a := r * sy0 * sz
-						if a > best {
-							best = a
-							buf = buf[:0]
-						}
-						if a == best {
-							buf = append(buf, torus.Partition{
-								Base:  torus.Coord{X: x, Y: by0, Z: bz},
-								Shape: torus.Shape{X: r, Y: sy0, Z: sz},
-							})
-						}
-					}
-				}
-			}
-		}
-	}
-	return buf, best
+	var e Engine
+	return e.MaxFree(gr)
 }
 
 // MaxFreeSize returns just the size of the maximal free partition.
 func MaxFreeSize(gr *torus.Grid) int {
 	_, s := MaxFree(gr)
 	return s
-}
-
-// maxRect2D finds the maximum-area all-true rectangle in the scratch's
-// colOK plane (dx*dy, wrap-aware in both dimensions). Rectangles
-// spanning a full dimension are canonicalised to base 0.
-func (s *mfpScratch) maxRect2D(dx, dy int, wrap bool) (area, bx, by, sx, sy int) {
-	for x := 0; x < dx; x++ {
-		row := x * dy
-		computeRunsBool(s.colOK[row:row+dy], wrap, s.yRun[row:row+dy])
-	}
-	for by0 := 0; by0 < dy; by0++ {
-		for sy0 := dy; sy0 >= 1; sy0-- {
-			if dx*sy0 <= area {
-				break
-			}
-			if wrap && sy0 == dy && by0 != 0 {
-				continue
-			}
-			if !wrap && by0+sy0 > dy {
-				continue
-			}
-			for x := 0; x < dx; x++ {
-				s.rowOK[x] = s.yRun[x*dy+by0] >= sy0
-			}
-			computeRunsBool(s.rowOK[:dx], wrap, s.xRun)
-			for x := 0; x < dx; x++ {
-				r := s.xRun[x]
-				if wrap && r == dx && x != 0 {
-					continue
-				}
-				if a := r * sy0; a > area {
-					area, bx, by, sx, sy = a, x, by0, r, sy0
-				}
-			}
-		}
-	}
-	return
 }

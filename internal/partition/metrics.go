@@ -17,12 +17,8 @@ import (
 //	no_shape_exits  calls that terminated early with no legal shape
 //	seconds         wall time per call
 //
-// The fast finder additionally reports its cache behaviour:
-//
-//	cache_hits          queries answered from the memoized result cache
-//	cache_misses        queries that had to enumerate
-//	cache_invalidations z-columns of derived occupancy state rebuilt
-//	                    because the underlying grid changed
+// The fast finder reads candidates off window bitsets rather than
+// scanning bases, so it reports no bases_scanned or early_rejects.
 type Metrics struct {
 	Calls        *telemetry.Counter
 	Candidates   *telemetry.Histogram
@@ -31,15 +27,15 @@ type Metrics struct {
 	NoShapeExits *telemetry.Counter
 	Seconds      *telemetry.Timer
 
-	CacheHits          *telemetry.Counter
-	CacheMisses        *telemetry.Counter
-	CacheInvalidations *telemetry.Counter
+	// CacheHits and CacheMisses are never incremented: no finder keeps
+	// a result cache any more. They remain so that instrument wiring
+	// written against the cached fast finder keeps compiling.
+	CacheHits   *telemetry.Counter
+	CacheMisses *telemetry.Counter
 }
 
 // NewMetrics resolves the instruments for one algorithm. Returns nil
-// (collection disabled) on a nil registry. The cache instruments are
-// resolved only for the "fast" algorithm; they stay nil (no-op) for
-// the cacheless finders so snapshots do not grow dead series.
+// (collection disabled) on a nil registry.
 func NewMetrics(reg *telemetry.Registry, algo string) *Metrics {
 	if reg == nil {
 		return nil
@@ -52,11 +48,6 @@ func NewMetrics(reg *telemetry.Registry, algo string) *Metrics {
 		EarlyRejects: reg.Counter(prefix + "early_rejects"),
 		NoShapeExits: reg.Counter(prefix + "no_shape_exits"),
 		Seconds:      reg.Timer(prefix + "seconds"),
-	}
-	if algo == "fast" {
-		m.CacheHits = reg.Counter(prefix + "cache_hits")
-		m.CacheMisses = reg.Counter(prefix + "cache_misses")
-		m.CacheInvalidations = reg.Counter(prefix + "cache_invalidations")
 	}
 	return m
 }
@@ -92,25 +83,6 @@ func (m *Metrics) noShapes(sw telemetry.Stopwatch) {
 	m.Calls.Inc()
 	m.Candidates.Observe(0)
 	m.NoShapeExits.Inc()
-}
-
-// cacheHit records a query answered from the memoized cache; safe on
-// nil.
-func (m *Metrics) cacheHit() {
-	if m == nil {
-		return
-	}
-	m.CacheHits.Inc()
-}
-
-// cacheMiss records a query that enumerated, plus how many columns of
-// derived occupancy state the miss had to rebuild; safe on nil.
-func (m *Metrics) cacheMiss(rebuiltColumns int) {
-	if m == nil {
-		return
-	}
-	m.CacheMisses.Inc()
-	m.CacheInvalidations.Add(int64(rebuiltColumns))
 }
 
 // Instrumented wires reg into a copy of each known finder kind (in

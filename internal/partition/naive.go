@@ -73,6 +73,7 @@ func MaxFreeNaive(gr *torus.Grid) (torus.Partition, int) {
 					continue
 				}
 				shape := torus.Shape{X: sx, Y: sy, Z: sz}
+			bases:
 				for bx := 0; bx < baseRange(dims.X, sx, g.Wrap); bx++ {
 					for by := 0; by < baseRange(dims.Y, sy, g.Wrap); by++ {
 						for bz := 0; bz < baseRange(dims.Z, sz, g.Wrap); bz++ {
@@ -81,8 +82,10 @@ func MaxFreeNaive(gr *torus.Grid) (torus.Partition, int) {
 								Shape: shape,
 							}
 							if gr.PartitionFree(p) {
+								// One free base settles this shape.
 								best = shape.Size()
 								bestPart = p
+								break bases
 							}
 						}
 					}

@@ -1,11 +1,12 @@
 // Package oracle is the differential-testing harness for the
 // free-partition finders: it replays allocate/free/query operation
 // sequences against every finder algorithm simultaneously — naive
-// exhaustive, POP projection, shape enumeration and the cached fast
-// path — and fails on any divergence in feasibility (one algorithm
-// finds candidates another does not), candidate sets, per-candidate
-// validity (rectangular, fully free, exactly the requested size), or
-// the maximal-free-partition size.
+// exhaustive, POP projection, shape enumeration, the bitset fast path
+// and the annealing finder — and fails on any divergence in feasibility
+// (one algorithm finds candidates another does not), candidate sets,
+// per-candidate validity (rectangular, fully free, exactly the
+// requested size), the maximal-free-partition size, or the MFP size
+// after placing each candidate.
 //
 // The paper's finders are pure functions of the occupancy grid, which
 // makes exact differential testing possible: FreEPARTS is a defined
@@ -39,14 +40,16 @@ const (
 	// nothing is allocated).
 	OpFree
 	// OpQuery queries all finders for Size and verifies agreement plus
-	// the MFP invariants, mutating nothing.
+	// the MFP invariants (before, and after each candidate), mutating
+	// nothing.
 	OpQuery
 	// OpSnapshot round-trips the occupancy grid through its serialized
 	// owner map (the same mechanism simulator snapshot restore uses) and
 	// swaps the live grid for the restored copy, then re-verifies finder
-	// agreement on it. The restored grid has a fresh identity, so a
-	// finder cache keyed on grid identity that survived the swap — stale
-	// state a restore must never inherit — diverges here.
+	// agreement on it. The restored grid is a different object with the
+	// same occupancy, so a finder that kept state from the object it saw
+	// before the swap — stale state a restore must never inherit —
+	// diverges on the next change.
 	OpSnapshot
 	opKinds // count sentinel
 )
@@ -87,21 +90,19 @@ func (o Op) String() string {
 }
 
 // DefaultFinders returns the full algorithm set under test: the three
-// scan finders, the fast path in both sequential and parallel
-// configurations, and the annealing finder.
+// scan finders, the bitset fast path and the annealing finder.
 func DefaultFinders() []partition.Finder {
 	return []partition.Finder{
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(0),
-		partition.NewFastFinder(4),
+		partition.NewFastFinder(),
 		// The annealing finder delegates enumeration to an embedded fast
 		// finder; riding in the oracle set proves its candidate sets stay
-		// byte-identical (including across the OpSnapshot identity swap)
-		// — only its placement preference differs, and that is outside
+		// byte-identical (including across the OpSnapshot grid swap) —
+		// only its placement preference differs, and that is outside
 		// FreeOfSize.
-		partition.NewAnnealFinder(1, 0),
+		partition.NewAnnealFinder(1),
 	}
 }
 
@@ -113,6 +114,7 @@ type Report struct {
 	Queries     int // finder comparisons performed (queries + alloc lookups)
 	Comparisons int // pairwise finder result comparisons
 	Snapshots   int // grid snapshot/restore round-trips
+	MFPAfters   int // MFP-after-placement checks against the brute force
 }
 
 // DivergenceError describes a detected finder disagreement or
@@ -174,6 +176,9 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 	}
 	gr := torus.NewGrid(g)
 	rep := &Report{}
+	// One MFP engine for the whole replay, like a scheduler's: it must
+	// follow every mutation and the snapshot grid swaps.
+	var eng partition.Engine
 	var live []liveAlloc
 	nextOwner := int64(1)
 
@@ -182,10 +187,14 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 		switch op.Kind % opKinds {
 		case OpQuery:
 			size := clampSize(op.Size, g)
-			if _, err := checkQuery(rep, gr, size, finders, i, op); err != nil {
+			cands, err := checkQuery(rep, gr, size, finders, i, op)
+			if err != nil {
 				return rep, err
 			}
 			if err := checkMFP(gr, i, op); err != nil {
+				return rep, err
+			}
+			if err := checkMFPAfter(rep, &eng, gr, cands, i, op); err != nil {
 				return rep, err
 			}
 		case OpAlloc:
@@ -231,10 +240,14 @@ func Replay(g torus.Geometry, ops []Op, finders []partition.Finder) (*Report, er
 			// Every finder must agree on the restored grid exactly as it
 			// did on the original.
 			size := clampSize(op.Size, g)
-			if _, err := checkQuery(rep, gr, size, finders, i, op); err != nil {
+			cands, err := checkQuery(rep, gr, size, finders, i, op)
+			if err != nil {
 				return rep, err
 			}
 			if err := checkMFP(gr, i, op); err != nil {
+				return rep, err
+			}
+			if err := checkMFPAfter(rep, &eng, gr, cands, i, op); err != nil {
 				return rep, err
 			}
 		case OpFree:
@@ -331,7 +344,7 @@ func validateSet(g torus.Geometry, gr *torus.Grid, ps []torus.Partition, size in
 	return nil
 }
 
-// checkMFP cross-checks the incremental MaxFree against the brute-
+// checkMFP cross-checks the engine's MaxFree against the brute-
 // force oracle: equal sizes, and a reported partition that is valid,
 // free and of the reported size (whenever the machine is not full).
 func checkMFP(gr *torus.Grid, opIndex int, op Op) error {
@@ -355,6 +368,40 @@ func checkMFP(gr *torus.Grid, opIndex int, op Op) error {
 	}
 	return nil
 }
+
+// checkMFPAfter cross-checks the engine's MFP after each candidate
+// placement against the brute force on the grid with the candidate
+// really allocated (then released again).
+func checkMFPAfter(rep *Report, eng *partition.Engine, gr *torus.Grid, cands []torus.Partition, opIndex int, op Op) error {
+	for _, p := range cands {
+		rep.MFPAfters++
+		got := eng.MaxFreeAfter(gr, p)
+		if err := gr.Allocate(p, probeOwner); err != nil {
+			return &DivergenceError{
+				OpIndex: opIndex, Op: op, Size: p.Size(), Finder: "mfp-after",
+				Detail: fmt.Sprintf("candidate %v not allocatable: %v", p, err), Grid: DumpGrid(gr),
+			}
+		}
+		_, want := partition.MaxFreeNaive(gr)
+		if err := gr.Release(p, probeOwner); err != nil {
+			return &DivergenceError{
+				OpIndex: opIndex, Op: op, Size: p.Size(), Finder: "mfp-after",
+				Detail: fmt.Sprintf("probe release of %v failed: %v", p, err), Grid: DumpGrid(gr),
+			}
+		}
+		if got != want {
+			return &DivergenceError{
+				OpIndex: opIndex, Op: op, Size: p.Size(), Finder: "mfp-after",
+				Detail: fmt.Sprintf("MFP after %v is %d, naive oracle %d", p, got, want), Grid: DumpGrid(gr),
+			}
+		}
+	}
+	return nil
+}
+
+// probeOwner marks checkMFPAfter's temporary allocations; replay owners
+// count up from 1, so it never collides with a live allocation.
+const probeOwner int64 = -1
 
 // partitionLess is the finders' output order: shape-major, then base.
 func partitionLess(a, b torus.Partition) bool {

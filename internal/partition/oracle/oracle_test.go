@@ -14,8 +14,8 @@ import (
 // issue demands: over a thousand randomized allocate/free/query
 // sequences replayed against all finder algorithms at once, on small
 // exhaustive geometries (where the naive reference is cheap enough to
-// brute-force every query) and the real BG/L torus. Zero divergence
-// tolerated.
+// brute-force every query), a mesh of 105 nodes (a partial second
+// bitset word) and the real BG/L torus. Zero divergence tolerated.
 func TestOracleRandomizedSequences(t *testing.T) {
 	cases := []struct {
 		geom torus.Geometry
@@ -24,20 +24,24 @@ func TestOracleRandomizedSequences(t *testing.T) {
 	}{
 		{torus.NewGeometry(3, 3, 4, true), 400, 30},
 		{torus.NewGeometry(3, 3, 4, false), 300, 30},
+		{torus.NewGeometry(3, 5, 7, false), 150, 25},
 		{torus.BlueGeneL(), 350, 25},
 	}
-	totalSeqs, totalOps, totalQueries := 0, 0, 0
+	totalSeqs := 0
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("%s_wrap=%v", tc.geom.Spec(), tc.geom.Wrap), func(t *testing.T) {
 			t.Parallel()
+			mfpAfters := 0 // per subtest: the subtests run in parallel
 			for seed := 0; seed < tc.seqs; seed++ {
 				rep, err := Run(Config{Geometry: tc.geom, Ops: tc.ops, Seed: int64(seed)})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				totalOps += rep.Ops
-				totalQueries += rep.Queries
+				mfpAfters += rep.MFPAfters
+			}
+			if mfpAfters == 0 {
+				t.Fatal("no MFP-after placement was checked")
 			}
 		})
 		totalSeqs += tc.seqs
@@ -49,7 +53,8 @@ func TestOracleRandomizedSequences(t *testing.T) {
 
 // TestOracleStressesAllocAndFree makes sure the random mix actually
 // mutates state: a run that never allocates or frees would be a
-// read-only smoke test wearing an oracle costume.
+// read-only smoke test wearing an oracle costume. It must also reach
+// the MFP-after checks.
 func TestOracleStressesAllocAndFree(t *testing.T) {
 	rep, err := Run(Config{Geometry: torus.NewGeometry(3, 3, 4, true), Ops: 200, Seed: 42})
 	if err != nil {
@@ -60,6 +65,9 @@ func TestOracleStressesAllocAndFree(t *testing.T) {
 	}
 	if rep.Comparisons == 0 {
 		t.Fatal("no finder comparisons performed")
+	}
+	if rep.MFPAfters == 0 {
+		t.Fatal("no MFP-after checks performed")
 	}
 }
 
@@ -245,8 +253,8 @@ func TestDumpGridShape(t *testing.T) {
 // TestOracleSnapshotMidSequence pins the OpSnapshot semantics: a
 // sequence that allocates, snapshots (owner-map round-trip plus grid
 // swap), then keeps mutating and querying must replay divergence-free
-// against every finder — including the cached fast path, whose state
-// must not survive the identity change a restore implies.
+// against every finder — including the fast path, whose window state
+// must follow the swap to the restored grid.
 func TestOracleSnapshotMidSequence(t *testing.T) {
 	g := torus.NewGeometry(3, 3, 4, true)
 	n := g.N()
@@ -293,8 +301,8 @@ func TestOracleRandomMixIncludesSnapshots(t *testing.T) {
 }
 
 // TestOracleSnapshotDetectsStaleCache proves the snapshot op actually
-// catches the failure class it exists for: a finder that caches by grid
-// identity and keeps serving the pre-swap snapshot's results diverges.
+// catches the failure class it exists for: a finder that keeps serving
+// answers computed before the swap diverges.
 func TestOracleSnapshotDetectsStaleCache(t *testing.T) {
 	g := torus.NewGeometry(3, 3, 4, true)
 	stale := &staleCacheFinder{inner: partition.ShapeFinder{}}

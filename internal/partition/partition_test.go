@@ -13,7 +13,7 @@ import (
 // grid against all of them. Both fast variants (sequential and
 // parallel) ride along so the cache and pool paths face the same
 // scrutiny as the scan-based finders.
-var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewFastFinder(0), NewFastFinder(4), NewAnnealFinder(1, 0)}
+var finders = []Finder{NaiveFinder{}, POPFinder{}, ShapeFinder{}, NewFastFinder(), NewAnnealFinder(1)}
 
 func randomGrid(t *testing.T, g torus.Geometry, fillProb float64, seed int64) *torus.Grid {
 	t.Helper()
@@ -279,17 +279,15 @@ func TestFinderNames(t *testing.T) {
 // variant threads the seed into the annealer.
 func TestByNameRoundTrip(t *testing.T) {
 	for _, name := range Names {
-		for _, workers := range []int{0, 2} {
-			f, err := ByNameSeeded(name, workers, 42)
-			if err != nil {
-				t.Fatalf("ByNameSeeded(%q, %d): %v", name, workers, err)
-			}
-			if f.Name() != name {
-				t.Fatalf("ByNameSeeded(%q).Name() = %q", name, f.Name())
-			}
-			if af, ok := f.(*AnnealFinder); ok && af.Seed() != 42 {
-				t.Fatalf("anneal finder seed = %d, want 42", af.Seed())
-			}
+		f, err := ByNameSeeded(name, 42)
+		if err != nil {
+			t.Fatalf("ByNameSeeded(%q): %v", name, err)
+		}
+		if f.Name() != name {
+			t.Fatalf("ByNameSeeded(%q).Name() = %q", name, f.Name())
+		}
+		if af, ok := f.(*AnnealFinder); ok && af.Seed() != 42 {
+			t.Fatalf("anneal finder seed = %d, want 42", af.Seed())
 		}
 	}
 }

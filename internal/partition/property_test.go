@@ -185,15 +185,14 @@ func partitionLessTest(a, b torus.Partition) bool {
 	return a.Base.Z < b.Base.Z
 }
 
-// propertyFinders builds a fresh finder set per run so the fast
-// finder's cache state cannot couple test cases.
+// propertyFinders builds a fresh finder set per run so no finder state
+// can couple test cases.
 func propertyFinders() []partition.Finder {
 	return []partition.Finder{
 		partition.NaiveFinder{},
 		partition.POPFinder{},
 		partition.ShapeFinder{},
-		partition.NewFastFinder(0),
-		partition.NewFastFinder(4),
+		partition.NewFastFinder(),
 	}
 }
 

@@ -129,11 +129,6 @@ func (s *Server) handleSubmitBranch(w http.ResponseWriter, req *http.Request) {
 	// The branch config must be valid stand-alone: apply the overrides
 	// and run them through the same gate as a direct submission.
 	applied := br.Branch.Apply(parentCfg).Canonical()
-	if applied.FinderWorkers > maxFinderWorkers {
-		s.writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("finder_workers must be <= %d, got %d", maxFinderWorkers, applied.FinderWorkers))
-		return
-	}
 	if err := s.validateRunConfig(applied); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err.Error())
 		return

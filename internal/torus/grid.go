@@ -1,30 +1,21 @@
 package torus
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // FreeOwner is the owner value of an unallocated node.
 const FreeOwner int64 = 0
 
-// gridIDs hands out process-unique grid identities; see Grid.ID.
-var gridIDs atomic.Uint64
-
 // Grid is the occupancy map of the machine: which job (by opaque int64
 // owner id) holds each node. Owner ids must be non-zero.
 //
-// Alongside the raw owner array the grid maintains incremental
-// occupancy summaries, updated in O(1) per node on every allocate and
-// release (so O(partition volume) per operation):
+// Alongside the raw owner array the grid maintains two occupancy
+// summaries, updated in O(1) per node on every allocate and release:
 //
-//   - a Zobrist-style occupancy hash of the free/busy pattern, whole
-//     grid and per z-column, used by caching partition finders to
-//     detect state changes (and state *recurrences*: an allocate
-//     followed by the matching release restores the hash);
-//   - per-z-column busy counts (the projection of the occupancy onto
-//     the x-y plane);
-//   - per-axis plane busy counts (the projection onto each axis).
+//   - a busy bitset, bit i set when node i is allocated, in
+//     Geometry.Index order: the input of the partition layer's
+//     bit-parallel free-partition and MFP engine;
+//   - a Zobrist-style occupancy hash of the free/busy pattern, which
+//     the annealing placer seeds its search from.
 //
 // Grid is not safe for concurrent use; the simulator is single-threaded
 // by design (a discrete-event loop), and experiment-level parallelism
@@ -34,20 +25,8 @@ type Grid struct {
 	owner     []int64
 	freeCount int
 
-	id        uint64   // process-unique identity, fresh per NewGrid/Clone
-	hash      uint64   // occupancy hash of the free/busy pattern
-	colHash   []uint64 // occupancy hash per z-column (len X*Y)
-	colBusy   []int    // busy nodes per z-column (len X*Y)
-	planeBusy [3][]int // busy nodes per plane orthogonal to x, y, z
-
-	watchers []colWatcher // column-invalidation callbacks, in handle order
-	nextW    int          // next watcher handle
-}
-
-// colWatcher is one registered column-invalidation callback.
-type colWatcher struct {
-	h  int
-	fn func(col int)
+	busy []uint64 // bit i = node i allocated; ceil(N/64) words, tail bits zero
+	hash uint64   // occupancy hash of the free/busy pattern
 }
 
 // NewGrid returns an empty occupancy grid for the machine.
@@ -56,14 +35,7 @@ func NewGrid(g Geometry) *Grid {
 		geom:      g,
 		owner:     make([]int64, g.N()),
 		freeCount: g.N(),
-		id:        gridIDs.Add(1),
-		colHash:   make([]uint64, g.Dims.X*g.Dims.Y),
-		colBusy:   make([]int, g.Dims.X*g.Dims.Y),
-		planeBusy: [3][]int{
-			make([]int, g.Dims.X),
-			make([]int, g.Dims.Y),
-			make([]int, g.Dims.Z),
-		},
+		busy:      make([]uint64, (g.N()+63)/64),
 	}
 }
 
@@ -80,63 +52,17 @@ func (gr *Grid) NodeFree(id int) bool { return gr.owner[id] == FreeOwner }
 // FreeOwner if the node is unallocated.
 func (gr *Grid) OwnerAt(id int) int64 { return gr.owner[id] }
 
-// ID returns the grid's process-unique identity. Every NewGrid and
-// Clone gets a fresh id, so caches keyed by it can never confuse two
-// grids (unlike pointer keys, which the allocator may reuse).
-func (gr *Grid) ID() uint64 { return gr.id }
+// BusyWords returns the busy bitset: bit id%64 of word id/64 is set
+// when node id is allocated, and the bits past the last node are zero.
+// The slice is the grid's own storage, so it reflects later changes;
+// callers must not modify it.
+func (gr *Grid) BusyWords() []uint64 { return gr.busy }
 
 // OccupancyHash returns a 64-bit hash of the grid's free/busy pattern
 // (owner identities do not contribute). It is maintained incrementally:
 // flipping a node XORs a fixed per-node key, so any sequence of
 // operations that restores the occupancy pattern restores the hash.
-// Caching finders use it as their invalidation key.
 func (gr *Grid) OccupancyHash() uint64 { return gr.hash }
-
-// ColumnHash returns the occupancy hash restricted to z-column col
-// (col = x*DimsY + y). Finders use it to resynchronise per-column
-// derived state only for the columns that actually changed.
-func (gr *Grid) ColumnHash(col int) uint64 { return gr.colHash[col] }
-
-// ColumnBusy returns the number of allocated nodes in z-column col:
-// the occupancy projected onto the x-y plane.
-func (gr *Grid) ColumnBusy(col int) int { return gr.colBusy[col] }
-
-// PlaneBusy returns the number of allocated nodes in the k-th plane
-// orthogonal to the given axis (0 = x, 1 = y, 2 = z): the occupancy
-// projected onto that axis.
-func (gr *Grid) PlaneBusy(axis, k int) int { return gr.planeBusy[axis][k] }
-
-// AddColumnWatcher registers a callback invoked whenever the occupancy
-// of a z-column changes (once per node flip, so a watcher typically
-// dedupes). Caching finders use it to mark derived per-column state
-// dirty instead of re-scanning every column hash on each query. The
-// returned handle removes the watcher via RemoveColumnWatcher. Watchers
-// are not copied by Clone: derived state is attached to one grid
-// identity.
-func (gr *Grid) AddColumnWatcher(fn func(col int)) int {
-	h := gr.nextW
-	gr.nextW++
-	gr.watchers = append(gr.watchers, colWatcher{h: h, fn: fn})
-	return h
-}
-
-// RemoveColumnWatcher unregisters a watcher by the handle
-// AddColumnWatcher returned. Unknown handles are ignored.
-func (gr *Grid) RemoveColumnWatcher(h int) {
-	for i, w := range gr.watchers {
-		if w.h == h {
-			gr.watchers = append(gr.watchers[:i], gr.watchers[i+1:]...)
-			return
-		}
-	}
-}
-
-// notifyCol fires the column watchers for one changed column.
-func (gr *Grid) notifyCol(col int) {
-	for _, w := range gr.watchers {
-		w.fn(col)
-	}
-}
 
 // nodeKey is the fixed Zobrist key of a node: a splitmix64 step over
 // the dense id. Deterministic across grids so equal occupancy patterns
@@ -148,35 +74,11 @@ func nodeKey(id int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// flip maintains the incremental summaries for one node changing
-// between free and busy; delta is +1 when the node becomes busy and
-// -1 when it becomes free.
-func (gr *Grid) flip(id, delta int) {
-	k := nodeKey(id)
-	col := id / gr.geom.Dims.Z
-	gr.hash ^= k
-	gr.colHash[col] ^= k
-	gr.colBusy[col] += delta
-	gr.planeBusy[0][col/gr.geom.Dims.Y] += delta
-	gr.planeBusy[1][col%gr.geom.Dims.Y] += delta
-	gr.planeBusy[2][id%gr.geom.Dims.Z] += delta
-	if len(gr.watchers) > 0 {
-		gr.notifyCol(col)
-	}
-}
-
-// PartitionHashDelta returns the XOR of the Zobrist keys of p's nodes:
-// exactly the amount OccupancyHash changes by when every node of p
-// flips between free and busy. It is read-only, letting callers
-// evaluate hypothetical placements (hash of "grid with p allocated")
-// without mutating the grid or firing watchers.
-func (gr *Grid) PartitionHashDelta(p Partition) uint64 {
-	var d uint64
-	gr.geom.ForEachNode(p, func(id int) bool {
-		d ^= nodeKey(id)
-		return true
-	})
-	return d
+// flip maintains the occupancy summaries for one node changing between
+// free and busy, in either direction.
+func (gr *Grid) flip(id int) {
+	gr.hash ^= nodeKey(id)
+	gr.busy[id>>6] ^= 1 << uint(id&63)
 }
 
 // PartitionFree reports whether every node of p is unallocated.
@@ -201,7 +103,7 @@ func (gr *Grid) Allocate(p Partition, owner int64) error {
 	}
 	gr.geom.ForEachNode(p, func(id int) bool {
 		gr.owner[id] = owner
-		gr.flip(id, +1)
+		gr.flip(id)
 		return true
 	})
 	gr.freeCount -= p.Size()
@@ -228,77 +130,52 @@ func (gr *Grid) Release(p Partition, owner int64) error {
 	}
 	gr.geom.ForEachNode(p, func(id int) bool {
 		gr.owner[id] = FreeOwner
-		gr.flip(id, -1)
+		gr.flip(id)
 		return true
 	})
 	gr.freeCount += p.Size()
 	return nil
 }
 
-// Clone returns a deep copy of the grid under a fresh identity.
-// Schedulers use clones to evaluate hypothetical placements without
-// disturbing machine state.
+// Clone returns a deep copy of the grid. Schedulers use clones to
+// evaluate hypothetical placements without disturbing machine state.
 func (gr *Grid) Clone() *Grid {
-	cp := &Grid{
+	return &Grid{
 		geom:      gr.geom,
 		owner:     append([]int64(nil), gr.owner...),
 		freeCount: gr.freeCount,
-		id:        gridIDs.Add(1),
+		busy:      append([]uint64(nil), gr.busy...),
 		hash:      gr.hash,
-		colHash:   append([]uint64(nil), gr.colHash...),
-		colBusy:   append([]int(nil), gr.colBusy...),
 	}
-	for a := range gr.planeBusy {
-		cp.planeBusy[a] = append([]int(nil), gr.planeBusy[a]...)
-	}
-	return cp
 }
 
-// CopyFrom overwrites the grid's contents with src's, keeping the
-// receiver's identity and watchers. It is the allocation-free
-// counterpart of Clone for reusable scratch grids: a stable identity
-// lets caching finders keep one derived state for the scratch instead
-// of rebuilding per clone. Column watchers fire for every column whose
-// occupancy differs between the old and new contents, so derived state
-// stays exactly as fresh as it would under individual flips. The
+// CopyFrom overwrites the grid's contents with src's. It is the
+// allocation-free counterpart of Clone for reusable scratch grids. The
 // geometries must match.
 func (gr *Grid) CopyFrom(src *Grid) error {
 	if gr.geom != src.geom {
 		return fmt.Errorf("torus: CopyFrom geometry mismatch: %s vs %s", gr.geom.Spec(), src.geom.Spec())
 	}
-	if len(gr.watchers) > 0 {
-		for col := range gr.colHash {
-			if gr.colHash[col] != src.colHash[col] {
-				gr.notifyCol(col)
-			}
-		}
-	}
 	copy(gr.owner, src.owner)
 	gr.freeCount = src.freeCount
+	copy(gr.busy, src.busy)
 	gr.hash = src.hash
-	copy(gr.colHash, src.colHash)
-	copy(gr.colBusy, src.colBusy)
-	for a := range gr.planeBusy {
-		copy(gr.planeBusy[a], src.planeBusy[a])
-	}
 	return nil
 }
 
 // Owners returns a copy of the raw owner array, one owner id per dense
 // node id (FreeOwner for unallocated nodes). It is the grid's complete
-// source-of-truth state: every incremental summary — free count,
-// occupancy hashes, column and plane projections — is derived from it,
-// which is what makes NewGridFromOwners an exact restore.
+// source-of-truth state: every incremental summary — free count, busy
+// bitset, occupancy hash — is derived from it, which is what makes
+// NewGridFromOwners an exact restore.
 func (gr *Grid) Owners() []int64 {
 	return append([]int64(nil), gr.owner...)
 }
 
 // NewGridFromOwners reconstructs a grid of geometry g from a serialized
 // owner array, rebuilding every incremental summary from scratch. The
-// result carries a fresh grid identity, so finder caches keyed by grid
-// id can never serve state from the pre-snapshot grid; the occupancy
-// hashes, being pure functions of the free/busy pattern, come out equal
-// to the original's.
+// busy bitset and occupancy hash, being pure functions of the free/busy
+// pattern, come out equal to the original's.
 func NewGridFromOwners(g Geometry, owners []int64) (*Grid, error) {
 	if len(owners) != g.N() {
 		return nil, fmt.Errorf("torus: owner array has %d entries, geometry %s has %d nodes",
@@ -310,7 +187,7 @@ func NewGridFromOwners(g Geometry, owners []int64) (*Grid, error) {
 			continue
 		}
 		gr.owner[id] = o
-		gr.flip(id, +1)
+		gr.flip(id)
 		gr.freeCount--
 	}
 	return gr, nil

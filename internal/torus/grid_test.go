@@ -220,26 +220,14 @@ func TestGridDoubleFreeDoubleAllocate(t *testing.T) {
 func assertSummaries(t *testing.T, gr *Grid) {
 	t.Helper()
 	g := gr.Geometry()
-	dims := g.Dims
 	var hash uint64
-	colHash := make([]uint64, dims.X*dims.Y)
-	colBusy := make([]int, dims.X*dims.Y)
-	plane := [3][]int{make([]int, dims.X), make([]int, dims.Y), make([]int, dims.Z)}
 	free := 0
 	for id := 0; id < g.N(); id++ {
 		if gr.NodeFree(id) {
 			free++
 			continue
 		}
-		k := nodeKey(id)
-		col := id / dims.Z
-		hash ^= k
-		colHash[col] ^= k
-		colBusy[col]++
-		c := g.CoordOf(id)
-		plane[0][c.X]++
-		plane[1][c.Y]++
-		plane[2][c.Z]++
+		hash ^= nodeKey(id)
 	}
 	if gr.FreeCount() != free {
 		t.Errorf("FreeCount = %d, recomputed %d", gr.FreeCount(), free)
@@ -247,18 +235,89 @@ func assertSummaries(t *testing.T, gr *Grid) {
 	if gr.OccupancyHash() != hash {
 		t.Errorf("OccupancyHash = %#x, recomputed %#x", gr.OccupancyHash(), hash)
 	}
-	for col := range colBusy {
-		if gr.ColumnBusy(col) != colBusy[col] {
-			t.Errorf("ColumnBusy(%d) = %d, recomputed %d", col, gr.ColumnBusy(col), colBusy[col])
-		}
-		if gr.ColumnHash(col) != colHash[col] {
-			t.Errorf("ColumnHash(%d) = %#x, recomputed %#x", col, gr.ColumnHash(col), colHash[col])
+	assertBusyBits(t, gr)
+}
+
+// assertBusyBits checks the busy bitset against the owner array: one
+// bit per node, set exactly when the node is allocated, and no bit set
+// past the last node.
+func assertBusyBits(t *testing.T, gr *Grid) {
+	t.Helper()
+	n := gr.Geometry().N()
+	words := gr.BusyWords()
+	if len(words) != (n+63)/64 {
+		t.Fatalf("busy bitset has %d words, want %d for %d nodes", len(words), (n+63)/64, n)
+	}
+	for id := 0; id < n; id++ {
+		if bit := words[id/64]>>(id%64)&1 == 1; bit == gr.NodeFree(id) {
+			t.Errorf("busy bit of node %d = %v, owner %d", id, bit, gr.OwnerAt(id))
 		}
 	}
-	for axis := 0; axis < 3; axis++ {
-		for k := range plane[axis] {
-			if gr.PlaneBusy(axis, k) != plane[axis][k] {
-				t.Errorf("PlaneBusy(%d,%d) = %d, recomputed %d", axis, k, gr.PlaneBusy(axis, k), plane[axis][k])
+	if tail := n % 64; tail != 0 && words[len(words)-1]>>tail != 0 {
+		t.Errorf("busy bits set past node %d: last word %#x", n-1, words[len(words)-1])
+	}
+}
+
+// TestGridBusyBitsetMatchesOwners drives random allocate/release
+// sequences and checks the busy bitset against the owner array after
+// every operation and through every way a grid is copied: Clone,
+// CopyFrom and NewGridFromOwners. The geometries include node counts
+// below, at and above one word and ones that are not a multiple of 64,
+// so the tail bits are covered.
+func TestGridBusyBitsetMatchesOwners(t *testing.T) {
+	for _, g := range []Geometry{
+		NewGeometry(3, 5, 7, true), // 105 nodes: a partial second word
+		NewGeometry(3, 5, 7, false),
+		NewGeometry(2, 3, 5, true), // 30 nodes: a partial single word
+		NewGeometry(4, 4, 4, true), // exactly one word
+		BlueGeneL(),
+	} {
+		rng := rand.New(rand.NewSource(int64(g.N())))
+		gr := NewGrid(g)
+		scratch := NewGrid(g)
+		type alloc struct {
+			p     Partition
+			owner int64
+		}
+		var live []alloc
+		for step := 0; step < 400; step++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				i := rng.Intn(len(live))
+				if err := gr.Release(live[i].p, live[i].owner); err != nil {
+					t.Fatalf("%s step %d: %v", g.Spec(), step, err)
+				}
+				live[i] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				p := Partition{
+					Base:  Coord{rng.Intn(g.Dims.X), rng.Intn(g.Dims.Y), rng.Intn(g.Dims.Z)},
+					Shape: Shape{1 + rng.Intn(g.Dims.X), 1 + rng.Intn(2), 1 + rng.Intn(3)},
+				}
+				if g.ValidPartition(p) && gr.PartitionFree(p) {
+					if err := gr.Allocate(p, int64(step+1)); err != nil {
+						t.Fatalf("%s step %d: %v", g.Spec(), step, err)
+					}
+					live = append(live, alloc{p, int64(step + 1)})
+				}
+			}
+			assertBusyBits(t, gr)
+			if step%50 != 0 {
+				continue
+			}
+			assertBusyBits(t, gr.Clone())
+			if err := scratch.CopyFrom(gr); err != nil {
+				t.Fatal(err)
+			}
+			assertBusyBits(t, scratch)
+			restored, err := NewGridFromOwners(g, gr.Owners())
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBusyBits(t, restored)
+			for w, word := range restored.BusyWords() {
+				if word != gr.BusyWords()[w] {
+					t.Fatalf("%s step %d: restored busy word %d = %#x, original %#x", g.Spec(), step, w, word, gr.BusyWords()[w])
+				}
 			}
 		}
 	}
@@ -293,11 +352,8 @@ func TestGridOccupancyHashRecurrence(t *testing.T) {
 	if other.OccupancyHash() != busy {
 		t.Fatal("equal occupancy patterns hash differently across grids/owners")
 	}
-	if other.ID() == gr.ID() {
-		t.Fatal("distinct grids share an ID")
-	}
-	if cl := other.Clone(); cl.OccupancyHash() != busy || cl.ID() == other.ID() {
-		t.Fatal("clone must keep the hash and get a fresh ID")
+	if cl := other.Clone(); cl.OccupancyHash() != busy {
+		t.Fatal("clone must keep the hash")
 	}
 }
 
