@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fuzz bench bench-micro bench-record bench-guard profile-kernel trace-demo check clean serve smoke-serve smoke-chaos load
+.PHONY: all build test race vet fuzz bench bench-micro bench-record bench-guard profile-kernel trace-demo bench-module check clean
 
 all: build
 
@@ -26,31 +26,6 @@ fuzz:
 	$(GO) test -run NONE -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/failure
 	$(GO) test -run NONE -fuzz FuzzFinderEquivalence -fuzztime $(FUZZTIME) ./internal/partition/oracle
 	$(GO) test -run NONE -fuzz FuzzSnapshotRoundTrip -fuzztime $(FUZZTIME) ./internal/snapshot
-
-# The scheduling-simulation service on :8080 (override: make serve
-# SERVE_FLAGS="-addr :9090 -state runs.jsonl").
-SERVE_FLAGS ?=
-serve:
-	$(GO) run ./cmd/bgserve $(SERVE_FLAGS)
-
-# Boot a real bgserve process, run the lifecycle smoke against it
-# (healthz, run, cache hit, metrics, SIGTERM drain), and require a
-# clean exit. Same script CI runs.
-smoke-serve:
-	./scripts/smoke-serve.sh
-
-# Chaos soak: bgserve with deterministic fault injection, the bgload
-# fleet holding its SLOs through the faults, a kill -9 mid-soak, and a
-# journal-recovery check on restart. Same script CI runs; reproduce a
-# failure with CHAOS_SEED=N make smoke-chaos.
-smoke-chaos:
-	./scripts/smoke-chaos.sh
-
-# Self-contained SLO soak (in-process server + chaos): make load
-# LOAD_FLAGS="-chaos-seed 7 -chaos-level 0.4 -requests 200".
-LOAD_FLAGS ?=
-load:
-	$(GO) run ./cmd/bgload $(LOAD_FLAGS)
 
 # Full benchmark sweep (figure regeneration + ablations); minutes.
 bench:
@@ -87,7 +62,14 @@ trace-demo:
 	cat trace-demo/*.trace.ndjson | $(GO) run ./cmd/bgtrace spans -in - -chrome trace-demo.json
 	@echo "wrote trace-demo.json ($$(wc -c < trace-demo.json) bytes); load it in chrome://tracing or ui.perfetto.dev"
 
-check: build vet test race fuzz
+# The benchmark module (simbench/) is its own Go module (replace
+# bgsched => ../), so the root ./... never builds it; this catches a
+# renamed program name it uses.
+bench-module:
+	cd simbench && $(GO) vet ./... && $(GO) test ./...
+
+# The same steps, in the same order, as CI's test job.
+check: build vet test bench-module race fuzz
 
 clean:
 	$(GO) clean ./...

@@ -2,16 +2,20 @@
 //
 // BenchmarkKernelSteadyState reports allocs/op averaged over whole
 // runs, where a handful of startup allocations disappear into the
-// rounding. The guard here is stricter and survives without -bench
-// flags in plain `go test`: after the caches and pools are warm, a
-// chunk of steady-state kernel.step dispatches must perform exactly
-// zero heap allocations — the property the pooled calendar, the
-// runState free list and the batched telemetry counter exist to
-// provide.
+// rounding. The guard here is exact and survives without -bench flags
+// in plain `go test`: after the caches and pools are warm, a window of
+// steady-state kernel.step dispatches must perform zero heap
+// allocations and allocate zero bytes, read as raw runtime.MemStats
+// deltas (testing.AllocsPerRun integer-divides by the run count, so a
+// single allocation in the window would round away) — the property
+// the pooled calendar, the runState free list, the fixed-capacity
+// running set, the pre-sized outcome slice and the batched telemetry
+// counter exist to provide.
 package bgsched
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"bgsched/internal/build"
@@ -24,6 +28,12 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state run in -short mode")
 	}
+	// MemStats counts every goroutine's allocations. One P for the
+	// whole test (as testing.AllocsPerRun uses while it measures) keeps
+	// other goroutines out of the window, and lets the warm-up below
+	// also grow the runtime's own per-P state (timer heap, GC mark
+	// workers) before the window opens.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg, _, err := build.Default(experiments.RunConfig{
 		Workload: "SDSC", JobCount: 1000, FailureNominal: 1000,
 		Scheduler: experiments.SchedBaseline, Seed: 1, Finder: "fast",
@@ -67,16 +77,23 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	if runs > 24 {
 		runs = 24
 	}
-	allocs := testing.AllocsPerRun(runs, func() {
+	runtime.GC() // no cycle left pending from the warm-up's garbage
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
 		upTo += chunk
 		if _, err := s.RunToEvent(ctx, upTo); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	runtime.ReadMemStats(&after)
 	if s.EventsDispatched() >= perRun {
 		t.Fatalf("guard window drained the run (%d events); shrink chunk", perRun)
 	}
-	if allocs != 0 {
-		t.Fatalf("steady-state kernel.step allocates %v per %d-event chunk, want 0", allocs, chunk)
+	mallocs := after.Mallocs - before.Mallocs
+	bytes := after.TotalAlloc - before.TotalAlloc
+	if mallocs != 0 || bytes != 0 {
+		t.Fatalf("steady-state kernel.step allocated %d times (%d B) over events %d-%d, want 0",
+			mallocs, bytes, upTo-int64(runs*chunk), upTo)
 	}
 }

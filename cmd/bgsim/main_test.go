@@ -3,10 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"bgsched/internal/torus"
 )
 
 func TestBgsimBasicRun(t *testing.T) {
@@ -77,6 +82,33 @@ func TestBgsimBadFlags(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(context.Background(), args, &buf); err == nil {
 			t.Errorf("args %v accepted", args)
+		}
+	}
+}
+
+// TestBgsimOversizedMachine: a -machine past torus.MaxNodes exits
+// non-zero with an error naming the cap instead of panicking in the
+// node-array allocation. The test binary re-runs itself as bgsim so the
+// real exit status is checked.
+func TestBgsimOversizedMachine(t *testing.T) {
+	if os.Getenv("BGSIM_RUN_MAIN") == "1" {
+		os.Args = append([]string{"bgsim"}, strings.Fields(os.Getenv("BGSIM_ARGS"))...)
+		main()
+		os.Exit(0)
+	}
+	for _, m := range []string{"100000x100000x100000", "4294967296x4294967296x2"} {
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestBgsimOversizedMachine$")
+		cmd.Env = append(os.Environ(), "BGSIM_RUN_MAIN=1", "BGSIM_ARGS=-machine "+m+" -jobs 1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("-machine %s: exit %v, want status 1; stderr:\n%s", m, err, stderr.String())
+		}
+		msg := stderr.String()
+		if strings.Contains(msg, "panic") || !strings.Contains(msg, strconv.Itoa(torus.MaxNodes)+"-node cap") {
+			t.Fatalf("-machine %s: stderr %q, want the node-cap error and no panic", m, msg)
 		}
 	}
 }

@@ -58,7 +58,7 @@ type Builder struct {
 // Artifacts exposes the intermediate stage products of one build, for
 // tests and diagnostics. Log, Trace and Index are shared cache entries
 // and must not be mutated; Jobs is a run-private clone owned by the
-// caller until ReleaseJobs hands it back to the cache's pool.
+// caller.
 type Artifacts struct {
 	Geometry torus.Geometry
 	Log      *workload.Log
@@ -67,28 +67,16 @@ type Artifacts struct {
 	Failures int     // injected failure count after nominal scaling
 	Trace    failure.Trace
 	Index    *failure.Index // nil unless a stage consulted it
-
-	// cache and jobsKey route ReleaseJobs back to the pool the Jobs
-	// clone was acquired from; released latches so a double release
-	// can never pool the same slice twice.
-	cache    *Cache
-	jobsKey  string
-	released bool
 }
 
-// ReleaseJobs returns the run's job-slice clone to the build cache for
-// reuse by a later build of the same workload point. Call it only once
-// the simulator that ran on these jobs has been dropped and all needed
-// results extracted — sim.Result and its Outcomes hold no job
-// pointers, so the experiments layer releases after every completed
-// run. Safe on nil and idempotent.
+// ReleaseJobs drops the run's job-slice clone so the GC can reclaim
+// it while the Artifacts value lives on. Call it only once the
+// simulator that ran on these jobs has been dropped and all needed
+// results extracted. Safe on nil and idempotent.
 func (a *Artifacts) ReleaseJobs() {
-	if a == nil || a.released || a.cache == nil {
-		return
+	if a != nil {
+		a.Jobs = nil
 	}
-	a.released = true
-	a.cache.releaseJobs(a.jobsKey, a.Jobs)
-	a.Jobs = nil
 }
 
 func (b *Builder) cache() *Cache {
@@ -171,7 +159,7 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 		return sim.Config{}, nil, err
 	}
 	met.record("jobs", hit)
-	jobs := cache.acquireJobs(jobsKey, jobsV.([]*job.Job))
+	jobs := cloneJobs(jobsV.([]*job.Job))
 
 	// Stage 4: failure trace, keyed by the derived generator inputs
 	// (machine size, injected count, horizon, seed) so different
@@ -201,8 +189,7 @@ func (b *Builder) Build(cfg RunConfig) (sim.Config, *Artifacts, error) {
 	// Stage 5: failure index, keyed by the trace's identity and
 	// materialised lazily — only the predictor-driven policies and the
 	// predictive checkpointer consult it.
-	art := &Artifacts{Geometry: g, Log: log, Jobs: jobs, Span: span, Failures: count, Trace: ftrace,
-		cache: cache, jobsKey: jobsKey}
+	art := &Artifacts{Geometry: g, Log: log, Jobs: jobs, Span: span, Failures: count, Trace: ftrace}
 	index := func() (*failure.Index, error) {
 		if art.Index != nil {
 			return art.Index, nil
@@ -280,19 +267,22 @@ func stageKey(stage string, sub any) string {
 	return stage + ":" + telemetry.ConfigHash(sub)
 }
 
-// cloneJobs deep-copies a cached master job slice for one run.
+// cloneJobs deep-copies a cached master job slice for one run. The
+// copies share one backing array: two allocations per build instead of
+// one per job.
 func cloneJobs(master []*job.Job) []*job.Job {
+	block := make([]job.Job, len(master))
 	out := make([]*job.Job, len(master))
 	for i, j := range master {
-		cp := *j
-		out[i] = &cp
+		block[i] = *j
+		out[i] = &block[i]
 	}
 	return out
 }
 
 // Default builds cfg through the Shared cache, recording build
 // telemetry into cfg.Telemetry. It is the single entry point the
-// experiments layer, the sweep engine and the service dispatcher use.
+// experiments layer and the sweep engine use.
 func Default(cfg RunConfig) (sim.Config, *Artifacts, error) {
 	var b Builder
 	return b.Build(cfg)

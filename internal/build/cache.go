@@ -3,8 +3,6 @@ package build
 import (
 	"container/list"
 	"sync"
-
-	"bgsched/internal/job"
 )
 
 // DefaultCacheCapacity bounds the process-wide artifact cache. Entries
@@ -31,11 +29,6 @@ type Cache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	inflight map[string]*flight
-	// jobPool recycles run-private job-slice clones, keyed by the jobs
-	// stage key. A sweep rebuilding the same workload point reuses the
-	// previous run's clone (re-initialised from the cached master)
-	// instead of allocating a fresh slice of job structs per run.
-	jobPool map[string][][]*job.Job
 }
 
 type cacheEntry struct {
@@ -61,14 +54,12 @@ func NewCache(capacity int) *Cache {
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
 		inflight: make(map[string]*flight),
-		jobPool:  make(map[string][][]*job.Job),
 	}
 }
 
-// Shared is the process-wide artifact cache: experiments.RunContext,
-// the sweep engine and the service dispatcher all build through it, so
-// sweep points and HTTP requests that agree on a sub-config reuse each
-// other's artifacts.
+// Shared is the process-wide artifact cache: experiments.RunContext
+// and the sweep engine build through it, so runs and sweep points that
+// agree on a sub-config reuse each other's artifacts.
 var Shared = NewCache(DefaultCacheCapacity)
 
 // GetOrCompute returns the artifact for key, computing and inserting it
@@ -127,52 +118,11 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Purge drops every cached artifact and pooled job clone (in-flight
-// computations are unaffected and will insert their results
-// afterwards).
+// Purge drops every cached artifact (in-flight computations are
+// unaffected and will insert their results afterwards).
 func (c *Cache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
 	c.items = make(map[string]*list.Element)
-	c.jobPool = make(map[string][][]*job.Job)
-}
-
-// maxPooledClones bounds the recycled clones kept per jobs key: enough
-// for a parallel sweep's worker fleet, small enough that an engine
-// cycling through many points cannot hoard memory.
-const maxPooledClones = 16
-
-// acquireJobs returns a run-private clone of the cached master slice,
-// recycling a released clone when one is pooled under key. A recycled
-// clone's structs are re-initialised from the master wholesale, so
-// mutations by the previous run's simulator cannot leak into the next.
-func (c *Cache) acquireJobs(key string, master []*job.Job) []*job.Job {
-	var out []*job.Job
-	c.mu.Lock()
-	if pool := c.jobPool[key]; len(pool) > 0 {
-		out = pool[len(pool)-1]
-		c.jobPool[key] = pool[:len(pool)-1]
-	}
-	c.mu.Unlock()
-	if len(out) != len(master) {
-		return cloneJobs(master)
-	}
-	for i, j := range master {
-		*out[i] = *j
-	}
-	return out
-}
-
-// releaseJobs returns a clone to the pool for key. Pool depth is
-// bounded; overflow clones are simply dropped for the GC.
-func (c *Cache) releaseJobs(key string, jobs []*job.Job) {
-	if key == "" || len(jobs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.jobPool[key]) < maxPooledClones {
-		c.jobPool[key] = append(c.jobPool[key], jobs)
-	}
 }

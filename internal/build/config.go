@@ -183,9 +183,8 @@ func (c *RunConfig) Normalize() {
 // Canonical returns the config with defaults filled and the
 // process-local fields (EventLog, Telemetry, Trace, Flight) cleared:
 // the form that hashes identically for semantically identical
-// requests. The service layer canonicalises every submitted config
-// before hashing it, so {"Workload":"SDSC"} and
-// {"Workload":"SDSC","JobCount":2000} land on the same cache entry.
+// configs, so {"Workload":"SDSC"} and {"Workload":"SDSC","JobCount":2000}
+// agree. Snapshots embed the canonical parent config.
 func (c RunConfig) Canonical() RunConfig {
 	c.EventLog = nil
 	c.Telemetry = nil

@@ -115,6 +115,12 @@ type Scheduler struct {
 	cfg Config
 	met schedMetrics
 
+	// The finder's optional capabilities, asserted once here: an
+	// interface type assertion on the hot path can allocate, because
+	// the runtime rebuilds its per-site type cache at random calls.
+	buffered partition.BufferedFinder // nil: the finder allocates its results
+	placer   partition.Placer         // nil: candidates keep finder order
+
 	mfp      partition.Engine   // MFP and MFP-after-placement answers
 	ctx      PlacementContext   // reused placement context
 	cands    []torus.Partition  // candidate buffer for tryStart/tryBackfill
@@ -149,10 +155,10 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown backfill mode %d", int(cfg.Backfill))
 	}
-	return &Scheduler{
-		cfg: cfg,
-		met: newSchedMetrics(cfg.Telemetry),
-	}, nil
+	s := &Scheduler{cfg: cfg, met: newSchedMetrics(cfg.Telemetry)}
+	s.buffered, _ = cfg.Finder.(partition.BufferedFinder)
+	s.placer, _ = cfg.Finder.(partition.Placer)
+	return s, nil
 }
 
 // freeOfSize queries the finder into buf when it supports buffered
@@ -161,8 +167,8 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 // either way (buffered finders fill buf; plain finders hand out fresh
 // slices).
 func (s *Scheduler) freeOfSize(gr *torus.Grid, size int, buf *[]torus.Partition) []torus.Partition {
-	if bf, ok := s.cfg.Finder.(partition.BufferedFinder); ok {
-		*buf = bf.FreeOfSizeInto(gr, size, (*buf)[:0])
+	if s.buffered != nil {
+		*buf = s.buffered.FreeOfSizeInto(gr, size, (*buf)[:0])
 		return *buf
 	}
 	return s.cfg.Finder.FreeOfSize(gr, size)
@@ -272,11 +278,10 @@ func (s *Scheduler) Schedule(gr *torus.Grid, q *job.Queue, running []Running, no
 // candidates — the legal set is exactly what the finder returned.
 // Finders hand out fresh slices, so the in-place swap is safe.
 func (s *Scheduler) preferPlacement(gr *torus.Grid, cands []torus.Partition) {
-	pl, ok := s.cfg.Finder.(partition.Placer)
-	if !ok || len(cands) < 2 {
+	if s.placer == nil || len(cands) < 2 {
 		return
 	}
-	if k := pl.Place(gr, cands); k > 0 && k < len(cands) {
+	if k := s.placer.Place(gr, cands); k > 0 && k < len(cands) {
 		cands[0], cands[k] = cands[k], cands[0]
 	}
 }

@@ -58,11 +58,6 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// Canonical returns the options with defaults filled: the form the
-// service layer hashes, so default-equivalent figure requests land on
-// the same cache entry.
-func (o Options) Canonical() Options { return o.normalize() }
-
 // Metric names accepted by Options.Metric.
 const (
 	MetricSlowdown = "slowdown"

@@ -7,10 +7,10 @@
 // internal/build: every run is built stage by stage (geometry →
 // workload log → jobs → failure trace → failure index → policy →
 // sim.Config), with the synthesis-heavy stages memoised in a
-// process-wide artifact cache shared by single runs, figure sweeps and
-// the HTTP service. Sweep points that differ only in policy, confidence
-// or failure count therefore skip workload and trace synthesis
-// entirely once a sibling point has warmed the cache.
+// process-wide artifact cache shared by single runs and figure sweeps.
+// Sweep points that differ only in policy, confidence or failure count
+// therefore skip workload and trace synthesis entirely once a sibling
+// point has warmed the cache.
 //
 // Scaling note. The paper replays multi-month to multi-year archive
 // logs (tens of thousands of jobs) and injects up to 4000 failures.
@@ -76,7 +76,7 @@ func Run(cfg RunConfig) (sim.Result, error) {
 // runs over a shared sub-config reuse the synthesized workload, the
 // failure trace and the failure index.
 func RunContext(ctx context.Context, cfg RunConfig) (sim.Result, error) {
-	sc, art, err := build.Default(cfg)
+	sc, _, err := build.Default(cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}
@@ -84,13 +84,5 @@ func RunContext(ctx context.Context, cfg RunConfig) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	res, err := s.RunContext(ctx)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	// The run is over and the result carries no job pointers (Outcomes
-	// are values), so the job-slice clone can go back to the build
-	// cache's pool for the next run of this workload point.
-	art.ReleaseJobs()
-	return res, nil
+	return s.RunContext(ctx)
 }

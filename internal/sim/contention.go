@@ -110,19 +110,14 @@ func (c *contentionSubsystem) onJobStart(r *runState) {
 		return
 	}
 	s := c.s
-	ids := make([]job.ID, 0, len(s.running))
-	for id := range s.running {
-		if id != r.job.ID {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	// The starter's own chain record ("start") is the cause of every
 	// dilation this co-residency inflicts.
 	startSeq := s.progress[r.job.ID].lastSeq
 	selfCharge := 0.0
-	for _, id := range ids {
-		n := s.running[id]
+	for _, n := range s.running {
+		if n == r {
+			continue
+		}
 		charge := c.cfg.Charge(s.cfg.Geometry, r.part, n.part)
 		if charge <= 0 {
 			continue

@@ -54,7 +54,7 @@ func (s *Simulator) verifyInvariants() error {
 		case owner == downOwner:
 			down++
 		case owner > 0:
-			if _, ok := s.running[job.ID(owner)]; !ok {
+			if _, ok := s.running.get(job.ID(owner)); !ok {
 				return &InvariantError{Time: s.k.now, Check: "ownership",
 					Detail: fmt.Sprintf("node %d owned by job %d which is not running", id, owner)}
 			}
@@ -69,7 +69,8 @@ func (s *Simulator) verifyInvariants() error {
 	}
 
 	claimed := 0
-	for id, r := range s.running {
+	for _, r := range s.running {
+		id := r.job.ID
 		bad := -1
 		g.ForEachNode(r.part, func(node int) bool {
 			if gr.OwnerAt(node) != int64(id) {

@@ -228,7 +228,7 @@ type Simulator struct {
 	k        kernel
 	grid     *torus.Grid
 	queue    *job.Queue
-	running  map[job.ID]*runState
+	running  runSet
 	progress map[job.ID]*jobProgress
 	jobsByID map[job.ID]*job.Job
 	elog     *eventLogger
@@ -258,11 +258,10 @@ type Simulator struct {
 
 	// Steady-state reuse: runFree recycles runState records between
 	// runs (a finish or kill returns the record after its last read),
-	// and runIDs/runBuf back the scheduler's running-list snapshot.
-	// Together with the scheduler's own buffers this keeps the event
-	// loop free of per-event heap allocations.
+	// and runBuf, sized like running, backs the scheduler's
+	// running-list snapshot. Together with the scheduler's own buffers
+	// this keeps the event loop free of per-event heap allocations.
 	runFree []*runState
-	runIDs  []job.ID
 	runBuf  []core.Running
 
 	// lastFinishSeq is the trace sequence of the most recent finish
@@ -327,10 +326,14 @@ func newSimulator(cfg Config) *Simulator {
 		met:      newSimMetrics(cfg.Telemetry),
 		grid:     torus.NewGrid(cfg.Geometry),
 		queue:    job.NewQueue(),
-		running:  make(map[job.ID]*runState),
+		running:  newRunSet(cfg.Geometry.N(), len(cfg.Jobs)),
 		progress: make(map[job.ID]*jobProgress),
+		// Each job finishes exactly once, so handleFinish never grows
+		// the slice mid-run.
+		outcomes: make([]metrics.Outcome, 0, len(cfg.Jobs)),
 		pending:  len(cfg.Jobs),
 	}
+	s.runBuf = make([]core.Running, 0, cap(s.running))
 	if cfg.Flight != nil {
 		s.k.tap = s.flightTap
 	}
@@ -531,14 +534,14 @@ func (s *Simulator) handleArrival(e event) error {
 }
 
 func (s *Simulator) handleFinish(e event) error {
-	r, ok := s.running[e.jobID]
+	r, ok := s.running.get(e.jobID)
 	if !ok || r.epoch != e.epoch {
 		return nil // stale: the run was killed or rescheduled
 	}
 	if err := s.grid.Release(r.part, int64(e.jobID)); err != nil {
 		return fmt.Errorf("sim: finish: %w", err)
 	}
-	delete(s.running, e.jobID)
+	s.running.remove(e.jobID)
 	s.nFinishes++
 	s.met.finishes.Inc()
 	s.logEvent("finish", e.jobID, 0, &r.part)
@@ -639,7 +642,7 @@ func (s *Simulator) start(d core.Decision) {
 		savedAtStart:       p.savedWork,
 		restartPenaltyPaid: penalty,
 	}
-	s.running[d.Job.ID] = r
+	s.running.put(r)
 	if !p.started {
 		p.started = true
 		p.firstStart = s.k.now
@@ -663,22 +666,8 @@ func (s *Simulator) start(d core.Decision) {
 // runningList snapshots the running jobs for the scheduler, in
 // deterministic job-id order.
 func (s *Simulator) runningList() []core.Running {
-	ids := s.runIDs[:0]
-	for id := range s.running {
-		ids = append(ids, id)
-	}
-	// Insertion sort: ids are unique, so the order matches any
-	// comparison sort, without sort.Slice's per-call swapper
-	// allocation; the running set is small (bounded by the machine).
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	s.runIDs = ids
 	out := s.runBuf[:0]
-	for _, id := range ids {
-		r := s.running[id]
+	for _, r := range s.running {
 		out = append(out, core.Running{Job: r.job, Part: r.part, Start: r.start, ExpFinish: r.expFinish})
 	}
 	s.runBuf = out

@@ -95,15 +95,14 @@ func (s *Simulator) Snapshot() (*snapshot.State, error) {
 	}
 
 	st.Running = make([]snapshot.RunState, 0, len(s.running))
-	for id, r := range s.running {
+	for _, r := range s.running {
 		st.Running = append(st.Running, snapshot.RunState{
-			Job: int64(id), Part: r.part, Start: r.start, Epoch: r.epoch,
+			Job: int64(r.job.ID), Part: r.part, Start: r.start, Epoch: r.epoch,
 			FinishTime: r.finishTime, ExpFinish: r.expFinish,
 			OverheadSoFar: r.overheadSoFar, SavedAtStart: r.savedAtStart,
 			RestartPenaltyPaid: r.restartPenaltyPaid,
 		})
 	}
-	sort.Slice(st.Running, func(i, j int) bool { return st.Running[i].Job < st.Running[j].Job })
 
 	st.Progress = make([]snapshot.JobProgress, 0, len(s.progress))
 	for id, p := range s.progress {
@@ -229,12 +228,12 @@ func NewFromSnapshot(cfg Config, st *snapshot.State) (*Simulator, error) {
 		if !ok {
 			return nil, fmt.Errorf("sim: snapshot job %d claims partition %v it does not fully own", r.Job, r.Part)
 		}
-		s.running[job.ID(r.Job)] = &runState{
+		s.running.put(&runState{
 			job: j, part: r.Part, start: r.Start, epoch: r.Epoch,
 			finishTime: r.FinishTime, expFinish: r.ExpFinish,
 			overheadSoFar: r.OverheadSoFar, savedAtStart: r.SavedAtStart,
 			restartPenaltyPaid: r.RestartPenaltyPaid,
-		}
+		})
 	}
 
 	for _, p := range st.Progress {
@@ -251,7 +250,7 @@ func NewFromSnapshot(cfg Config, st *snapshot.State) (*Simulator, error) {
 		return nil, fmt.Errorf("sim: snapshot tracks %d jobs, config has %d", len(s.progress), len(cfg.Jobs))
 	}
 
-	s.outcomes = append([]metrics.Outcome(nil), st.Outcomes...)
+	s.outcomes = append(s.outcomes, st.Outcomes...)
 	c := st.Counters
 	if c.Pending != len(cfg.Jobs)-c.Finishes {
 		return nil, fmt.Errorf("sim: snapshot pending count %d inconsistent with %d jobs, %d finished",

@@ -119,7 +119,7 @@ func (f *failureSubsystem) handleFailure(e event) error {
 // fault, linking the kill (and the requeue behind it) to its origin.
 func (f *failureSubsystem) kill(id job.ID, cause uint64) error {
 	s := f.s
-	r, ok := s.running[id]
+	r, ok := s.running.get(id)
 	if !ok {
 		return fmt.Errorf("sim: failure killed job %d which is not running", id)
 	}
@@ -149,7 +149,7 @@ func (f *failureSubsystem) kill(id job.ID, cause uint64) error {
 	}
 	// Removing the run state invalidates this run's pending finish and
 	// checkpoint events: their epoch can never match a future run.
-	delete(s.running, id)
+	s.running.remove(id)
 	s.queue.Push(r.job) // original arrival time: regains FCFS priority
 	s.runFree = append(s.runFree, r)
 	return nil
@@ -231,7 +231,7 @@ func (c *checkpointSubsystem) RestoreState(data json.RawMessage) error {
 
 func (c *checkpointSubsystem) handleCheckpoint(e event) error {
 	s := c.s
-	r, ok := s.running[e.jobID]
+	r, ok := s.running.get(e.jobID)
 	if !ok || r.epoch != e.epoch || c.cfg == nil {
 		return nil // stale
 	}
@@ -269,7 +269,7 @@ func (c *checkpointSubsystem) handleCheckpoint(e event) error {
 
 // handlePoll re-consults the checkpoint policy for a running job.
 func (c *checkpointSubsystem) handlePoll(e event) error {
-	r, ok := c.s.running[e.jobID]
+	r, ok := c.s.running.get(e.jobID)
 	if !ok || r.epoch != e.epoch || c.cfg == nil {
 		return nil // stale
 	}
@@ -347,7 +347,7 @@ func (m *migrationSubsystem) afterFinish() error {
 		return fmt.Errorf("sim: %w", err)
 	}
 	for _, mv := range moves {
-		r := s.running[list[mv.JobIndex].Job.ID]
+		r, _ := s.running.get(list[mv.JobIndex].Job.ID)
 		r.part = mv.To
 		s.result.Migrations++
 		s.met.migrations.Inc()

@@ -64,8 +64,15 @@ func NewGeometry(x, y, z int, wrap bool) Geometry {
 // BlueGeneL returns the 4x4x8 supernode torus used throughout the paper.
 func BlueGeneL() Geometry { return NewGeometry(4, 4, 8, true) }
 
+// MaxNodes caps the node count of a parsed geometry: 16x the 64x32x32
+// compute machine of a full BlueGene/L. Past it the simulator's
+// per-node arrays are out of reach, and an X*Y*Z product could
+// overflow int.
+const MaxNodes = 1 << 20
+
 // Parse builds a geometry from a spec like "4x4x8" (torus) or
-// "4x4x8/mesh". It is the format the command-line tools accept.
+// "4x4x8/mesh". It is the format the command-line tools accept; a
+// geometry of more than MaxNodes nodes is refused.
 func Parse(spec string) (Geometry, error) {
 	wrap := true
 	if i := strings.IndexByte(spec, '/'); i >= 0 {
@@ -83,11 +90,17 @@ func Parse(spec string) (Geometry, error) {
 		return Geometry{}, fmt.Errorf("torus: bad geometry %q (want XxYxZ)", spec)
 	}
 	dims := make([]int, 3)
+	nodes := 1
 	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil || v < 1 {
 			return Geometry{}, fmt.Errorf("torus: bad dimension %q in %q", p, spec)
 		}
+		// nodes*v > MaxNodes, tested by division so it cannot overflow.
+		if v > MaxNodes/nodes {
+			return Geometry{}, fmt.Errorf("torus: geometry %q exceeds the %d-node cap", spec, MaxNodes)
+		}
+		nodes *= v
 		dims[i] = v
 	}
 	return NewGeometry(dims[0], dims[1], dims[2], wrap), nil

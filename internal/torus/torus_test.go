@@ -2,6 +2,8 @@ package torus
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -332,6 +334,8 @@ func TestParse(t *testing.T) {
 		{"4x4x8/torus", NewGeometry(4, 4, 8, true)},
 		{"8x8x16/mesh", NewGeometry(8, 8, 16, false)},
 		{" 2 x 3 x 4 ", NewGeometry(2, 3, 4, true)},
+		{"128x64x128", NewGeometry(128, 64, 128, true)}, // exactly MaxNodes
+		{"1048576x1x1/mesh", NewGeometry(MaxNodes, 1, 1, false)},
 	}
 	for _, tc := range cases {
 		got, err := Parse(tc.spec)
@@ -347,6 +351,21 @@ func TestParse(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
+		}
+	}
+	// Oversized machines are refused with an error naming the cap, not
+	// left to panic (or wrap around) when the node arrays are made.
+	huge := []string{
+		"100000x100000x100000",    // would panic in makeslice
+		"4294967296x4294967296x2", // product overflows int
+		"128x64x129",              // one plane past the cap
+		"1048577x1x1",
+		"1x1x1048577",
+	}
+	for _, spec := range huge {
+		_, err := Parse(spec)
+		if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxNodes)) {
+			t.Errorf("Parse(%q) = %v, want an error naming the %d-node cap", spec, err, MaxNodes)
 		}
 	}
 }

@@ -119,7 +119,7 @@ func (f *FlightRecorder) DumpTo(w io.Writer, reason string) error {
 }
 
 // Global registry of live recorders, so process-wide dump triggers
-// (SIGQUIT, contained panics, an HTTP debug endpoint) can reach every
+// (SIGQUIT, contained panics) can reach every
 // in-flight simulation without threading a handle through each layer.
 var (
 	flightMu  sync.Mutex

@@ -12,8 +12,8 @@
 //     record streams, whatever the build cache state or partition
 //     finder. Golden tests pin these bytes, which makes the tracer
 //     itself a determinism oracle.
-//   - Wall-clock spans (build pipeline stages, service request
-//     lifecycles, the simulator run as a whole) carry real durations
+//   - Wall-clock spans (build pipeline stages, the simulator run as
+//     a whole) carry real durations
 //     and are inherently non-deterministic. They are emitted only when
 //     Options.WallSpans is set, so a tracer in its default
 //     configuration stays deterministic end to end.
